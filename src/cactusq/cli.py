@@ -217,6 +217,8 @@ def hash_cmd(graph_spec, l, p, epsilon, seed, emit, report_flag, out) -> None:
     g = _resolve_graph(graph_spec)
     if l < 1:
         raise ValueError("--l must be at least 1")
+    if g.n < 2:
+        raise ValueError("hashing needs at least 2 qubits")
     params = find_good_set(p, epsilon, seed=seed, size=g.n - 1)
     result = synthesize_hash(g, l, params)
     if emit is not None and report_flag and out is None:
@@ -271,6 +273,8 @@ def qft_cmd(graph_spec, emit, report_flag, out) -> None:
 
 
 def _default_hash_params(n: int, p: int, epsilon: float) -> HashParams:
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
     ks = tuple((j - 1) % (p - 1) + 1 for j in range(1, n))
     return HashParams.from_coefficients(p, epsilon, ks)
 

@@ -14,7 +14,7 @@ Conventions: `k` is the number of walk elements, `length` = k - 1 edges.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph_core import (
     BlockTree,
@@ -138,15 +138,26 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic program over the rooted block tree.
+# Dynamic program over the block tree, rerooted.
 #
-# For a block rooted below its parent, d_l is the minimum weight of a walk
-# that starts and ends at the block's entry vertex while covering the whole
-# subtree; d_p drops the requirement to return.  A child block contributes
-# nothing (it is "skipped") exactly when it is a single vertex with no
-# children of its own: the parent's visit already covers it.  Any child with
-# children must be entered, because grandchildren are only covered from
-# inside.
+# Seen across one of its bridges, a block summarises the part of the tree
+# on its own side: d_l is the minimum weight of a walk that starts and ends
+# at the block's end of the bridge while covering that part; d_p drops the
+# requirement to return.  A neighbour contributes nothing (it is "skipped")
+# exactly when it is a single vertex with no other bridge: the visit next
+# door already covers it.  Any other neighbour must be entered, because
+# what lies beyond it is only covered from inside.
+#
+# Every root needs each of its neighbours as seen from it, so the DP runs
+# once per bridge direction, in two passes from block 0.  The bottom-up
+# pass gives each block its values as seen from its parent.  The top-down
+# pass gives each block its values as seen from each child: the same step,
+# with that child left out, the parent's top-down contribution in, and the
+# entry at the child's attach vertex.  Each root is then scored from its
+# neighbours' cached contributions; the first strict minimum in block
+# order wins, and its own record rebuilds the walk.  Emission pops tokens
+# off an explicit stack (a vertex, or a block to walk closed or open), so
+# the depth of the block tree does not matter.
 #
 # Every DP value folds two keys into one integer: unit * length + revisits,
 # where a revisit is a step onto a vertex the walk has already visited.  A
@@ -161,7 +172,7 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 
 @dataclass
 class ChildContribution:
-    """Summary of one child subtree as seen from its attach vertex.
+    """Summary of one neighbouring subtree as seen from its attach vertex.
 
     `closed_cost` is the folded value of crossing the bridge, covering the
     subtree and coming back; `saving` is the gain from ending the walk
@@ -173,15 +184,6 @@ class ChildContribution:
     closed_cost: int
     saving: int
     skipped: bool
-
-
-@dataclass
-class DpTables:
-    """Per-block DP values and backtracking records for one rooting."""
-
-    d_l: dict[int, int] = field(default_factory=dict)
-    d_p: dict[int, int] = field(default_factory=dict)
-    choice: dict[int, object] = field(default_factory=dict)
 
 
 def dp_single_vertex(children: list[ChildContribution]):
@@ -305,342 +307,285 @@ def dp_cycle(t: int, weights: list[int], entry: int,
     return d_l, d_p, (dl_choice, dp_choice)
 
 
-class _RootedDp:
-    """One full bottom-up evaluation of the block tree for a fixed root."""
+def _best_cycle_root(t: int, weights: list[int],
+                     per_vertex: dict[int, list[ChildContribution]], unit: int):
+    """Minimum open-walk value of a cycle root with both ends free, plus a
+    record sufficient to rebuild the walk."""
+    kids = {
+        p: [c for c in per_vertex.get(p, []) if not c.skipped]
+        for p in range(t)
+    }
+    required = {p: bool(per_vertex.get(p)) for p in range(t)}
+    s_total = sum(c.closed_cost for cs in kids.values() for c in cs)
+    back = unit + 1
+    perim = s_total + unit * sum(weights) + 1
+    best = None
+    # a bare uniform cycle looks the same from every pivot
+    pivots = range(t) if any(required.values()) else [0]
+    for p in pivots:
+        pivot_opts = [(c.saving, ("pivot_child", c.block)) for c in kids[p]]
+        top = sorted(pivot_opts, key=lambda x: -x[0])[:2]
+        val = perim - sum(max(0, s) for s, _ in top)
+        ends = [e for s, e in top if s > 0] + [None, None]
+        cand = (val, (p, ("perim",), ends[0], ends[1]))
+        if best is None or cand[0] < best[0]:
+            best = cand
+        for j in range(t):
+            right, left = _arm_positions(t, p, j)
+            m_r, m_l = len(right), len(left)
+            req_r = max((i + 1 for i in range(m_r) if required[right[i]]),
+                        default=0)
+            req_l = max((i + 1 for i in range(m_l) if required[left[i]]),
+                        default=0)
+            for a in _arm_depth_options(m_r, req_r):
+                for b in _arm_depth_options(m_l, req_l):
+                    if not _depths_valid(a, m_r, b, m_l):
+                        continue
+                    closed = s_total + (a + b) * (unit + back)
+                    opts = []
+                    sR = max(_arm_end_options(right, a, kids, back),
+                             key=lambda x: x[0], default=None)
+                    if sR is not None:
+                        opts.append((sR[0], ("armR",) + sR[1]))
+                    sL = max(_arm_end_options(left, b, kids, back),
+                             key=lambda x: x[0], default=None)
+                    if sL is not None:
+                        opts.append((sL[0], ("armL",) + sL[1]))
+                    opts.extend(pivot_opts)
+                    top = sorted(opts, key=lambda x: -x[0])[:2]
+                    val = closed - sum(max(0, s) for s, _ in top)
+                    ends = [e for s, e in top if s > 0] + [None, None]
+                    cand = (val, (p, ("chain", j, a, b), ends[0], ends[1]))
+                    if cand[0] < best[0]:
+                        best = cand
+    return best
 
-    def __init__(self, tvc: WeightedVertexCactus, bt: BlockTree, root: int,
-                 unit: int):
-        self.tvc = tvc
+
+def _order_key(c: ChildContribution) -> tuple[int, int]:
+    return c.entry, c.block
+
+
+class _Rerooted:
+    """DP values of every block as seen across each of its bridges.  The
+    two passes start from block `start`; every start gives the same tables."""
+
+    def __init__(self, tvc: WeightedVertexCactus, bt: BlockTree, start: int = 0):
         self.bt = bt
-        self.root = root
-        self.unit = unit
-        self.entry: dict[int, int] = {}
-        self.children: dict[int, list[ChildContribution]] = {}
-        self.tables = DpTables()
-        self._evaluate()
-
-    def _evaluate(self) -> None:
-        bt = self.bt
-        parent = {self.root: -1}
-        parent_edge: dict[int, tuple[int, int, int]] = {}
-        order = [self.root]
+        self.unit = sum(len(a) for a in tvc.adjacency) + 1  # the fold's step weight
+        # into[b]: each neighbour's contribution seen from b, in _order_key order
+        self.into: list[list[ChildContribution]] = [[] for _ in bt.blocks]
+        # choice[b][towards]: DP record of b seen from its neighbour `towards`
+        self.choice: list[dict[int, object]] = [{} for _ in bt.blocks]
+        # bridge[b][other]: (weight, own attach vertex, its position in b)
+        self.bridge: list[dict[int, tuple[int, int, int]]] = []
+        self.weights: dict[int, list[int]] = {}
+        for b, (kind, verts) in enumerate(bt.blocks):
+            pos = {v: i for i, v in enumerate(verts)}
+            self.bridge.append({other: (w, own, pos[own])
+                                for other, w, own, _theirs in bt.tree[b]})
+            if kind == "cycle":
+                t = len(verts)
+                self.weights[b] = [
+                    next(wt for nb, wt in tvc.adjacency[verts[i]]
+                         if nb == verts[(i + 1) % t])
+                    for i in range(t)
+                ]
+        parent = {start: -1}
+        order = [start]
         for b in order:
-            for other, w, own, theirs in bt.tree[b]:
+            for other in self.bridge[b]:
                 if other not in parent:
                     parent[other] = b
-                    parent_edge[other] = (w, own, theirs)
                     order.append(other)
-        out, back = self.unit, self.unit + 1
-        for b in reversed(order):
-            kind, verts = bt.blocks[b]
-            kids: list[ChildContribution] = []
-            for other, w, own, theirs in bt.tree[b]:
+        for b in reversed(order[1:]):
+            self.into[b].sort(key=_order_key)
+            self._push(b, parent[b])
+        for b in order:
+            self.into[b].sort(key=_order_key)
+            for other in self.bridge[b]:
                 if parent[other] == b:
-                    d_l, d_p = self.tables.d_l[other], self.tables.d_p[other]
-                    kids.append(
-                        ChildContribution(
-                            block=other,
-                            entry=theirs,
-                            # over the bridge onto a new vertex, back as a revisit
-                            closed_cost=d_l + w * (out + back),
-                            saving=d_l - d_p + w * back,
-                            skipped=self._skippable(other),
-                        )
-                    )
-            kids.sort(key=lambda c: (c.entry, c.block))
-            self.children[b] = kids
-            if b == self.root:
-                continue
-            entry_vertex = parent_edge[b][2]
-            self.entry[b] = entry_vertex
-            if kind == "vertex":
-                d_l, d_p, ch = dp_single_vertex(kids)
-                self.tables.choice[b] = ("vertex", ch)
-            else:
-                t = len(verts)
-                e_pos = verts.index(entry_vertex)
-                weights, per_vertex = self._cycle_view(b, verts)
-                d_l, d_p, ch = dp_cycle(t, weights, e_pos, per_vertex,
-                                        self.unit)
-                self.tables.choice[b] = ("cycle", e_pos, ch)
-            self.tables.d_l[b] = d_l
-            self.tables.d_p[b] = d_p
+                    self._push(b, other)
 
-    def _skippable(self, b: int) -> bool:
-        return self.bt.blocks[b][0] == "vertex" and not self.children[b]
+    def _kids(self, b: int, up: int) -> list[ChildContribution]:
+        return [c for c in self.into[b] if c.block != up]
 
-    def _cycle_view(self, b: int, verts):
-        t = len(verts)
-        wmap = {v: i for i, v in enumerate(verts)}
-        weights = []
-        for i in range(t):
-            a, c = verts[i], verts[(i + 1) % t]
-            w = next(wt for nb, wt in self.tvc.adjacency[a] if nb == c)
-            weights.append(w)
-        per_vertex: dict[int, list[ChildContribution]] = {}
-        for c in self.children[b]:
-            attach = self._attach_of(b, c.block)
-            per_vertex.setdefault(wmap[attach], []).append(c)
-        return weights, per_vertex
-
-    def _attach_of(self, b: int, child: int) -> int:
-        for other, _w, own, _theirs in self.bt.tree[b]:
-            if other == child:
-                return own
-        raise AssertionError("child edge missing")
-
-    # -- root evaluation ---------------------------------------------------
-
-    def best_root_walk(self):
-        """Minimum open-walk weight with both endpoints free, plus a record
-        sufficient to reconstruct the walk."""
-        kind, verts = self.bt.blocks[self.root]
-        if kind == "vertex":
-            kids = self.children[self.root]
-            active = [c for c in kids if not c.skipped]
-            base = sum(c.closed_cost for c in active)
-            savings = sorted(
-                (c for c in active if c.saving > 0),
-                key=lambda c: (-c.saving, c.entry, c.block),
-            )[:2]
-            ends = [c.block for c in savings] + [None, None]
-            value = base - sum(c.saving for c in savings)
-            return value, ("vroot", verts[0], ends[0], ends[1])
-        return self._best_cycle_root(verts)
-
-    def _best_cycle_root(self, verts):
-        t = len(verts)
-        weights, per_vertex = self._cycle_view(self.root, verts)
-        kids = {
-            p: [c for c in per_vertex.get(p, []) if not c.skipped]
-            for p in range(t)
-        }
-        required = {p: bool(per_vertex.get(p)) for p in range(t)}
-        s_total = sum(c.closed_cost for cs in kids.values() for c in cs)
-        unit = self.unit
-        back = unit + 1
-        perim = s_total + unit * sum(weights) + 1
-        best = None
-        pivots = range(t) if self._cycle_needs_all_pivots(required) else [0]
-        for p in pivots:
-            pivot_opts = [(c.saving, ("pivot_child", c.block)) for c in kids[p]]
-            top = sorted(pivot_opts, key=lambda x: -x[0])[:2]
-            val = perim - sum(max(0, s) for s, _ in top)
-            ends = [e for s, e in top if s > 0] + [None, None]
-            cand = (val, ("croot", p, ("perim",), ends[0], ends[1]))
-            if best is None or cand[0] < best[0]:
-                best = cand
-            for j in range(t):
-                right, left = _arm_positions(t, p, j)
-                m_r, m_l = len(right), len(left)
-                req_r = max((i + 1 for i in range(m_r) if required[right[i]]),
-                            default=0)
-                req_l = max((i + 1 for i in range(m_l) if required[left[i]]),
-                            default=0)
-                for a in _arm_depth_options(m_r, req_r):
-                    for b in _arm_depth_options(m_l, req_l):
-                        if not _depths_valid(a, m_r, b, m_l):
-                            continue
-                        closed = s_total + (a + b) * (unit + back)
-                        opts = []
-                        sR = max(_arm_end_options(right, a, kids, back),
-                                 key=lambda x: x[0], default=None)
-                        if sR is not None:
-                            opts.append((sR[0], ("armR",) + sR[1]))
-                        sL = max(_arm_end_options(left, b, kids, back),
-                                 key=lambda x: x[0], default=None)
-                        if sL is not None:
-                            opts.append((sL[0], ("armL",) + sL[1]))
-                        opts.extend(pivot_opts)
-                        top = sorted(opts, key=lambda x: -x[0])[:2]
-                        val = closed - sum(max(0, s) for s, _ in top)
-                        ends = [e for s, e in top if s > 0] + [None, None]
-                        cand = (val, ("croot", p, ("chain", j, a, b),
-                                      ends[0], ends[1]))
-                        if cand[0] < best[0]:
-                            best = cand
-        return best
-
-    def _cycle_needs_all_pivots(self, required) -> bool:
-        # a bare uniform cycle looks the same from every pivot
-        return any(required.values())
-
-    # -- reconstruction ----------------------------------------------------
-
-    def emit_closed(self, b: int) -> list[int]:
-        kind, verts = self.bt.blocks[b]
-        if kind == "vertex":
-            v = verts[0]
-            walk = [v]
-            for c in self.children[b]:
-                if not c.skipped:
-                    walk += self.emit_closed(c.block) + [v]
-            return walk
-        e_pos, (dl_choice, _) = self.tables.choice[b][1:3]
-        return self._emit_cycle_closed(b, verts, e_pos, dl_choice)
-
-    def _exc(self, b: int, pos_kids, p: int, omit=()) -> list[int]:
-        walk: list[int] = []
-        vtx = self.bt.blocks[b][1][p]
-        for c in pos_kids.get(p, []):
-            if c.skipped or c.block in omit:
-                continue
-            walk += self.emit_closed(c.block) + [vtx]
-        return walk
-
-    def _pos_kids(self, b: int):
-        _, verts = self.bt.blocks[b]
-        wmap = {v: i for i, v in enumerate(verts)}
+    def _by_position(self, b: int, kids) -> dict[int, list[ChildContribution]]:
         out: dict[int, list[ChildContribution]] = {}
-        for c in self.children[b]:
-            out.setdefault(wmap[self._attach_of(b, c.block)], []).append(c)
+        for c in kids:
+            out.setdefault(self.bridge[b][c.block][2], []).append(c)
         return out
 
-    def _emit_cycle_closed(self, b, verts, e_pos, dl_choice) -> list[int]:
-        t = len(verts)
-        pos_kids = self._pos_kids(b)
-        walk = [verts[e_pos]] + self._exc(b, pos_kids, e_pos)
-        if dl_choice[0] == "perim":
-            p = e_pos
-            for _ in range(t - 1):
-                p = (p + 1) % t
-                walk += [verts[p]] + self._exc(b, pos_kids, p)
-            walk.append(verts[e_pos])
-            return walk
-        _, j, a, bdep = dl_choice
-        right, left = _arm_positions(t, e_pos, j)
-        walk += self._arm_closed(b, verts, pos_kids, right, a, e_pos)
-        walk += self._arm_closed(b, verts, pos_kids, left, bdep, e_pos)
-        return walk
-
-    def _arm_closed(self, b, verts, pos_kids, arm, depth, e_pos) -> list[int]:
-        walk: list[int] = []
-        for i in range(depth):
-            p = arm[i]
-            walk += [verts[p]] + self._exc(b, pos_kids, p)
-        for i in range(depth - 2, -1, -1):
-            walk.append(verts[arm[i]])
-        if depth:
-            walk.append(verts[e_pos])
-        return walk
-
-    def _arm_open(self, b, verts, pos_kids, arm, depth, i_end, child) -> list[int]:
-        walk: list[int] = []
-        for i in range(depth):
-            p = arm[i]
-            omit = (child,) if child is not None and i == i_end - 1 else ()
-            walk += [verts[p]] + self._exc(b, pos_kids, p, omit=omit)
-        for i in range(depth - 2, i_end - 2, -1):
-            if i >= 0:
-                walk.append(verts[arm[i]])
-        if child is not None:
-            walk += self.emit_open(child)
-        return walk
-
-    def emit_open(self, b: int) -> list[int]:
+    def _push(self, b: int, towards: int) -> None:
+        """One DP step: block b seen across its bridge to `towards`, handed
+        to `towards` as a child contribution."""
         kind, verts = self.bt.blocks[b]
+        w, own, e_pos = self.bridge[b][towards]
+        kids = self._kids(b, towards)
         if kind == "vertex":
-            v = verts[0]
-            _, open_child = self.tables.choice[b]
-            walk = [v]
-            for c in self.children[b]:
-                if not c.skipped and c.block != open_child:
-                    walk += self.emit_closed(c.block) + [v]
-            if open_child is not None:
-                walk += self.emit_open(open_child)
-            return walk
-        e_pos, (dl_choice, dp_choice) = self.tables.choice[b][1:3]
-        if dp_choice[0] == "closed":
-            return self._emit_cycle_closed(b, verts, e_pos, dl_choice)
+            d_l, d_p, ch = dp_single_vertex(kids)
+        else:
+            d_l, d_p, ch = dp_cycle(len(verts), self.weights[b], e_pos,
+                                    self._by_position(b, kids), self.unit)
+        self.choice[b][towards] = ch
+        out, back = self.unit, self.unit + 1
+        self.into[towards].append(
+            ChildContribution(
+                block=b,
+                entry=own,
+                # over the bridge onto a new vertex, back as a revisit
+                closed_cost=d_l + w * (out + back),
+                saving=d_l - d_p + w * back,
+                skipped=kind == "vertex" and len(self.bridge[b]) == 1,
+            )
+        )
+
+    def root_walk(self, r: int):
+        """Minimum open-walk value with block r as root and both endpoints
+        free, plus a record sufficient to rebuild the walk."""
+        kind, verts = self.bt.blocks[r]
+        if kind == "cycle":
+            return _best_cycle_root(len(verts), self.weights[r],
+                                    self._by_position(r, self.into[r]), self.unit)
+        active = [c for c in self.into[r] if not c.skipped]
+        savings = sorted(
+            (c for c in active if c.saving > 0),
+            key=lambda c: (-c.saving, c.entry, c.block),
+        )[:2]
+        ends = [("pivot_child", c.block) for c in savings] + [None, None]
+        value = sum(c.closed_cost for c in active) - sum(c.saving for c in savings)
+        return value, (0, ("vertex",), ends[0], ends[1])
+
+    # -- reconstruction ----------------------------------------------------
+    # Item lists mix vertices with (open, block, up) tokens: walk `block`,
+    # entered from its neighbour `up`, and return to the entry unless open.
+
+    def _expand(self, items: list) -> list[int]:
+        """Replace tokens by their items until only vertices are left."""
+        walk: list[int] = []
+        stack = items[::-1]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, int):
+                walk.append(item)
+            else:
+                is_open, b, up = item
+                stack.extend(reversed(self._block_items(b, up, is_open)))
+        return walk
+
+    def _exc(self, b: int, pos_kids, p: int, omit=()) -> list:
+        """Round trips into the children hanging at position p of block b."""
+        items: list = []
+        vtx = self.bt.blocks[b][1][p]
+        for c in pos_kids.get(p, []):
+            if not c.skipped and c.block not in omit:
+                items += [(False, c.block, b), vtx]
+        return items
+
+    def _perimeter(self, b: int, pos_kids, start: int, omit=()) -> list:
+        """Once around cycle b from position `start` and back to it."""
+        verts = self.bt.blocks[b][1]
         t = len(verts)
-        pos_kids = self._pos_kids(b)
+        items = [verts[start]] + self._exc(b, pos_kids, start, omit)
+        for i in range(1, t):
+            p = (start + i) % t
+            items += [verts[p]] + self._exc(b, pos_kids, p)
+        return items + [verts[start]]
+
+    def _arm_open(self, b, pos_kids, arm, depth, i_end, child) -> list:
+        """Out along `arm` to `depth`, back to depth `i_end`, then into
+        `child` (when given) without coming back."""
+        verts = self.bt.blocks[b][1]
+        items: list = []
+        for i in range(depth):
+            omit = (child,) if i == i_end - 1 else ()
+            items += [verts[arm[i]]] + self._exc(b, pos_kids, arm[i], omit)
+        items += [verts[arm[i]] for i in range(depth - 2, max(i_end - 2, -1), -1)]
+        if child is not None:
+            items.append((True, child, b))
+        return items
+
+    def _arm_closed(self, b, pos_kids, arm, depth, e_pos) -> list:
+        items = self._arm_open(b, pos_kids, arm, depth, 0, None)
+        return items + [self.bt.blocks[b][1][e_pos]] if depth else items
+
+    def _cycle_closed(self, b, pos_kids, e_pos, dl_choice) -> list:
+        if dl_choice[0] == "perim":
+            return self._perimeter(b, pos_kids, e_pos)
+        _, j, a, bdep = dl_choice
+        right, left = _arm_positions(len(self.bt.blocks[b][1]), e_pos, j)
+        return ([self.bt.blocks[b][1][e_pos]] + self._exc(b, pos_kids, e_pos)
+                + self._arm_closed(b, pos_kids, right, a, e_pos)
+                + self._arm_closed(b, pos_kids, left, bdep, e_pos))
+
+    def _block_items(self, b: int, up: int, is_open: bool) -> list:
+        kind, verts = self.bt.blocks[b]
+        pos_kids = self._by_position(b, self._kids(b, up))
+        e_pos = self.bridge[b][up][2]
+        ch = self.choice[b][up]
+        if kind == "vertex":
+            open_child = ch if is_open else None
+            items = [verts[0]] + self._exc(b, pos_kids, 0, omit=(open_child,))
+            return items + [(True, open_child, b)] if open_child is not None else items
+        dl_choice, dp_choice = ch
+        if not is_open or dp_choice[0] == "closed":
+            return self._cycle_closed(b, pos_kids, e_pos, dl_choice)
         if dp_choice[0] == "perim_child":
             child = dp_choice[1]
-            walk = [verts[e_pos]] + self._exc(b, pos_kids, e_pos, omit=(child,))
-            p = e_pos
-            for _ in range(t - 1):
-                p = (p + 1) % t
-                walk += [verts[p]] + self._exc(b, pos_kids, p)
-            walk.append(verts[e_pos])
-            return walk + self.emit_open(child)
+            return self._perimeter(b, pos_kids, e_pos, omit=(child,)) + [(True, child, b)]
         _, j, a, bdep, end = dp_choice
-        right, left = _arm_positions(t, e_pos, j)
+        right, left = _arm_positions(len(verts), e_pos, j)
         omit_entry = (end[1],) if end[0] == "entry_child" else ()
-        walk = [verts[e_pos]] + self._exc(b, pos_kids, e_pos, omit=omit_entry)
+        items = [verts[e_pos]] + self._exc(b, pos_kids, e_pos, omit=omit_entry)
         if end[0] == "entry_child":
-            walk += self._arm_closed(b, verts, pos_kids, right, a, e_pos)
-            walk += self._arm_closed(b, verts, pos_kids, left, bdep, e_pos)
-            return walk + self.emit_open(end[1])
+            return (items + self._arm_closed(b, pos_kids, right, a, e_pos)
+                    + self._arm_closed(b, pos_kids, left, bdep, e_pos)
+                    + [(True, end[1], b)])
         if end[0] == "armR":
-            walk += self._arm_closed(b, verts, pos_kids, left, bdep, e_pos)
-            walk += self._arm_open(b, verts, pos_kids, right, a, end[1], end[2])
-        else:
-            walk += self._arm_closed(b, verts, pos_kids, right, a, e_pos)
-            walk += self._arm_open(b, verts, pos_kids, left, bdep, end[1], end[2])
-        return walk
+            return (items + self._arm_closed(b, pos_kids, left, bdep, e_pos)
+                    + self._arm_open(b, pos_kids, right, a, end[1], end[2]))
+        return (items + self._arm_closed(b, pos_kids, right, a, e_pos)
+                + self._arm_open(b, pos_kids, left, bdep, end[1], end[2]))
 
-    def emit_root(self, record) -> list[int]:
-        if record[0] == "vroot":
-            _, v, c1, c2 = record
-            middle = [v]
-            for c in self.children[self.root]:
-                if not c.skipped and c.block not in (c1, c2):
-                    middle += self.emit_closed(c.block) + [v]
-            pre = list(reversed(self.emit_open(c1))) if c1 is not None else []
-            post = self.emit_open(c2) if c2 is not None else []
-            return pre + middle + post
-        _, p, mode, e1, e2 = record
-        verts = self.bt.blocks[self.root][1]
-        t = len(verts)
-        pos_kids = self._pos_kids(self.root)
-        used_children = [e[1] for e in (e1, e2)
-                         if e is not None and e[0] == "pivot_child"]
-        if mode[0] == "perim":
-            middle = [verts[p]] + self._exc(self.root, pos_kids, p,
-                                            omit=used_children)
-            q = p
-            for _ in range(t - 1):
-                q = (q + 1) % t
-                middle += [verts[q]] + self._exc(self.root, pos_kids, q)
-            middle.append(verts[p])
+    def emit_root(self, r: int, record) -> list[int]:
+        """The vertex-cactus walk of root r's record, built without recursion."""
+        verts = self.bt.blocks[r][1]
+        pos_kids = self._by_position(r, self.into[r])
+        p, mode, e1, e2 = record
+        used = [e[1] for e in (e1, e2) if e is not None and e[0] == "pivot_child"]
+        if mode[0] == "vertex":
+            middle = [verts[0]] + self._exc(r, pos_kids, 0, omit=used)
+        elif mode[0] == "perim":
+            middle = self._perimeter(r, pos_kids, p, omit=used)
         else:
             _, j, a, bdep = mode
-            right, left = _arm_positions(t, p, j)
+            right, left = _arm_positions(len(verts), p, j)
             arm_spec = {"armR": (right, a), "armL": (left, bdep)}
-            open_arms = {e[0]: e for e in (e1, e2)
-                         if e is not None and e[0] in arm_spec}
-            middle = [verts[p]] + self._exc(self.root, pos_kids, p,
-                                            omit=used_children)
+            open_arms = {e[0] for e in (e1, e2) if e is not None}
+            middle = [verts[p]] + self._exc(r, pos_kids, p, omit=used)
             for name in ("armR", "armL"):
                 if name not in open_arms:
-                    arm, depth = arm_spec[name]
-                    middle += self._arm_closed(self.root, verts, pos_kids,
-                                               arm, depth, p)
-        segments = []
+                    middle += self._arm_closed(r, pos_kids, *arm_spec[name], p)
+        ends = []
         for e in (e1, e2):
             if e is None:
-                segments.append([])
+                ends.append([])
             elif e[0] == "pivot_child":
-                segments.append(self.emit_open(e[1]))
+                ends.append([(True, e[1], r)])
             else:
-                arm, depth = {"armR": (right, a), "armL": (left, bdep)}[e[0]]
-                segments.append(
-                    self._arm_open(self.root, verts, pos_kids, arm, depth,
-                                   e[1], e[2])
-                )
-        return list(reversed(segments[0])) + middle + segments[1]
+                ends.append(self._arm_open(r, pos_kids, *arm_spec[e[0]], e[1], e[2]))
+        return self._expand(ends[0])[::-1] + self._expand(middle) + self._expand(ends[1])
 
 
 def solve_root_choices(tvc: WeightedVertexCactus, bt: BlockTree):
-    """Try every block as the root; return (folded value, rooted dp, record)."""
-    unit = sum(len(a) for a in tvc.adjacency) + 1  # the fold's step weight
+    """Score every block as the root from one rerooted DP; return (folded
+    value, DP, root, record) of the first best root in block order."""
+    dp = _Rerooted(tvc, bt)
     best = None
     for root in range(bt.n_blocks):
-        dp = _RootedDp(tvc, bt, root, unit)
-        value, record = dp.best_root_walk()
+        value, record = dp.root_walk(root)
         if best is None or value < best[0]:
-            best = (value, dp, record)
-    return best
+            best = (value, root, record)
+    return best[0], dp, best[1], best[2]
 
 
 def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
@@ -671,9 +616,9 @@ def solve_cactus(g: Graph) -> CoveringPath:
         path = CoveringPath.from_vertices(g, walk)
         assert path.is_covering(g)
         return path
-    value, dp, record = solve_root_choices(tvc, bt)
+    value, dp, root, record = solve_root_choices(tvc, bt)
     length, revisits = divmod(value, dp.unit)
-    t_walk = dp.emit_root(record)
+    t_walk = dp.emit_root(root, record)
     assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
     g_walk: list[int] = []
     for tv in t_walk:

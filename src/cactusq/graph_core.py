@@ -278,7 +278,6 @@ class BlockTree:
     blocks: tuple[tuple[str, tuple[int, ...]], ...]
     tree: tuple[tuple[tuple[int, int, int, int], ...], ...]
     block_of: tuple[int, ...]
-    root: int = 0
 
     @property
     def n_blocks(self) -> int:

@@ -251,6 +251,8 @@ def find_good_set(p: int, epsilon: float, seed: int = 0,
         raise ValueError("epsilon must lie in (0, 0.5)")
     t = math.ceil((2.0 / epsilon) * math.log(2 * p))
     draw = size if size is not None else t
+    if draw < 1:
+        raise ValueError("a coefficient set needs at least one coefficient")
     rng = random.Random(seed)
     for _ in range(max_trials):
         ks = tuple(rng.randrange(1, p) for _ in range(draw))

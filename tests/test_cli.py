@@ -42,6 +42,11 @@ class TestPath:
         proc = run_cli("path", "--graph", "k5", expect_code=1)
         assert "error:" in proc.stderr
 
+    def test_deep_block_tree(self):
+        # 1100 blocks in a row, deeper than the default recursion limit
+        data = json.loads(run_cli("path", "--graph", "line1100").stdout)
+        assert data["element_count"] == 1098
+
 
 class TestHash:
     def test_star5_worked_example(self):
@@ -135,3 +140,14 @@ class TestCostAndGen:
     def test_bad_flag_value(self):
         proc = run_cli("hash", "--graph", "line4", "--l", "0", expect_code=1)
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (("cost", "--graph", "line3", "--p", "1"), "modulus must be at least 2"),
+        (("verify", "--graph", "line3", "--what", "hash", "--p", "1"),
+         "modulus must be at least 2"),
+        (("hash", "--graph", "line1"), "hashing needs at least 2 qubits"),
+    ])
+    def test_degenerate_input_one_line_error(self, args, message):
+        proc = run_cli(*args, expect_code=1)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"

@@ -1,6 +1,7 @@
 """Covering-path solver tests: the brute-force oracles, hand-worked
-family values, solver-vs-oracle equality on random cacti, the 2n-3
-length bound, and the tie-break towards the fewest revisits."""
+family values, solver-vs-oracle equality on random cacti and on hard
+families, the 2n-3 length bound, the tie-break towards the fewest
+revisits, and block trees deeper than the recursion limit."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,50 @@ from conftest import fewest_revisits, shortest_simple_covering_walk
 from cactusq.covering_path import (
     CoveringPath,
     TooLarge,
+    _Rerooted,
     brute_force_oracle,
     brute_force_visit_all,
     solve_cactus,
 )
 from cactusq.families import chain_of_squares, cycle, fig3_cactus, line, star
-from cactusq.graph_core import Graph, random_cactus
+from cactusq.graph_core import (
+    Graph,
+    build_block_tree,
+    build_vertex_cactus,
+    random_cactus,
+    validate_cactus,
+)
 
 # three legs of length 2 hanging off vertex 0: the shortest covering walk
 # must re-enter the hub, so no simple covering path exists at all
 SPIDER = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
+def spider(legs, length):
+    """`legs` paths of `length` vertices hanging off vertex 0."""
+    edges = []
+    for leg in range(legs):
+        at = 0
+        for i in range(length):
+            v = 1 + leg * length + i
+            edges.append((at, v))
+            at = v
+    return Graph.from_edges(1 + legs * length, edges)
+
+
+def cycle_with_pendants(t):
+    """A t-cycle with one pendant vertex on every cycle vertex."""
+    edges = [(i, (i + 1) % t) for i in range(t)] + [(i, t + i) for i in range(t)]
+    return Graph.from_edges(2 * t, edges)
+
+
+def flower(petals, size):
+    """`petals` cycles of `size` vertices sharing vertex 0."""
+    edges = []
+    for p in range(petals):
+        ring = [0] + [1 + p * (size - 1) + i for i in range(size - 1)]
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+    return Graph.from_edges(1 + petals * (size - 1), edges)
 
 
 class TestCoveringPathType:
@@ -128,6 +163,62 @@ class TestSolverAgainstOracle:
     def test_length_bound(self, n, seed):
         g = random_cactus(n, seed)
         assert solve_cactus(g).length <= 2 * n - 3
+
+
+class TestSolverOnHardFamilies:
+    # many blocks around one vertex, long legs and pendant-laden cycles:
+    # the shapes where the choice of root and walk ends matters most
+    CASES = {
+        f"{name}{args}": build(*args)
+        for name, build, shapes in [
+            ("spider", spider, [(3, 2), (4, 2), (6, 2), (3, 4), (4, 3), (2, 6), (5, 2)]),
+            ("cycle_with_pendants", cycle_with_pendants, [(3,), (4,), (5,), (6,), (7,)]),
+            ("flower", flower, [(3, 3), (6, 3), (4, 4), (3, 5), (2, 7)]),
+            ("star", star, [(3,), (8,), (14,)]),
+        ]
+        for args in shapes
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_oracle_with_fewest_revisits(self, name):
+        g = self.CASES[name]
+        assert g.n <= 14
+        ours = solve_cactus(g)
+        assert ours.is_covering(g)
+        assert ours.k == brute_force_oracle(g).k
+        assert ours.k - ours.k_distinct == fewest_revisits(g, ours.k)
+
+
+class TestRerooting:
+    # each bridge direction is evaluated once, by the bottom-up pass or by
+    # the top-down one depending on where the passes start; the values,
+    # the records and the child order must not depend on that
+    @pytest.mark.parametrize("n, seed, cycle_prob", [
+        (14, 15, 0.45), (16, 51, 0.45), (25, 3, 0.45), (40, 7, 0.45),
+        (30, 2, 0.2), (30, 4, 0.85),
+    ])
+    def test_tables_do_not_depend_on_the_start_block(self, n, seed, cycle_prob):
+        g = random_cactus(n, seed, cycle_prob)
+        tvc = build_vertex_cactus(g, validate_cactus(g))
+        bt = build_block_tree(tvc)
+        ref = _Rerooted(tvc, bt)
+        for start in range(1, bt.n_blocks):
+            other = _Rerooted(tvc, bt, start)
+            assert other.into == ref.into, start
+            assert other.choice == ref.choice, start
+
+
+class TestDeepBlockTrees:
+    # block trees a thousand levels deep, past the default recursion limit
+    def test_long_line(self):
+        g = line(1100)
+        p = solve_cactus(g)
+        assert p.is_covering(g) and p.k == 1098 == p.k_distinct
+
+    def test_long_square_chain(self):
+        g = chain_of_squares(400)
+        p = solve_cactus(g)
+        assert p.is_covering(g) and p.k == 799 == p.k_distinct
 
 
 class TestSolverPrefersSimpleWalks:

@@ -159,6 +159,11 @@ class TestGoodSets:
         with pytest.raises(SearchExhausted):
             find_good_set(2, 0.25, seed=0, size=3)
 
+    def test_empty_set_rejected(self):
+        # the mean-cosine check divides by the set size
+        with pytest.raises(ValueError):
+            find_good_set(5, 0.25, seed=0, size=0)
+
     def test_angles_are_4pi_over_p(self):
         params = HashParams.from_coefficients(5, 0.25, (1, 2))
         assert params.angles == pytest.approx((4 * np.pi / 5, 8 * np.pi / 5))
