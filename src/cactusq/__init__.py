@@ -15,7 +15,6 @@ from .graph_core import (
     graph_from_json_dict,
     graph_to_json_dict,
     load_graph,
-    prune_leaves,
     random_cactus,
     validate_cactus,
 )

@@ -1,10 +1,10 @@
 """Gate-level IR over physical qubits.
 
 Contents: the `Gate` and `Circuit` value types (with device-adjacency
-checking and SWAP-induced layout tracking), `decompose` into the basic set
-{H, X, Ry, Rz, CNOT} with the controlled-rotation/SWAP fusion applied at
-synthesis seams, `cancel_adjacent_cnots`, `cnot_cost`, a QASM-flavored text
-emitter, and a JSON gate-list dump/load pair.
+checking and the final qubit permutation the SWAPs leave), `decompose`
+into the basic set {H, X, Ry, Rz, CNOT} with the controlled-rotation/SWAP
+fusion applied at synthesis seams, `cancel_adjacent_cnots`, `cnot_cost`, a
+QASM-flavored text emitter, and a JSON gate-list dump/load pair.
 
 Gate matrices follow the conventions used throughout this package:
 Ry(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]],
@@ -71,25 +71,18 @@ class Circuit:
     """Ordered gate list over `num_qubits` physical qubits.
 
     If a device graph is attached, every two-qubit gate must land on an
-    edge of it.  `layout[s][q]` is the physical position of logical qubit
-    q after the first s gates (layout changes only at SWAPs);
-    `final_permutation` is the last entry of that trace.
+    edge of it.  Logical qubit q starts at physical position q and moves
+    only at SWAPs; `final_permutation[q]` is where it ends up.
     """
 
-    def __init__(self, num_qubits: int, device: Graph | None = None,
-                 initial_layout=None):
+    def __init__(self, num_qubits: int, device: Graph | None = None):
         if device is not None and device.n != num_qubits:
             raise ValueError("device size must match qubit count")
         self.num_qubits = num_qubits
         self.device = device
         self.gates: list[Gate] = []
-        if initial_layout is None:
-            initial_layout = tuple(range(num_qubits))
-        else:
-            initial_layout = tuple(initial_layout)
-            if sorted(initial_layout) != list(range(num_qubits)):
-                raise ValueError("initial layout must be a permutation")
-        self._trace: list[tuple[int, ...]] = [initial_layout]
+        self._position = list(range(num_qubits))  # logical -> physical
+        self._logical = list(range(num_qubits))  # physical -> logical
 
     def append(self, gate: Gate) -> None:
         for q in gate.qubits:
@@ -100,17 +93,11 @@ class Circuit:
             if not self.device.has_edge(a, b):
                 raise DeviceViolation(f"{gate.kind} on non-adjacent ({a},{b})")
         self.gates.append(gate)
-        cur = self._trace[-1]
         if gate.kind == "SWAP":
             a, b = gate.qubits
-            nxt = list(cur)
-            for q, pos in enumerate(cur):
-                if pos == a:
-                    nxt[q] = b
-                elif pos == b:
-                    nxt[q] = a
-            cur = tuple(nxt)
-        self._trace.append(cur)
+            qa, qb = self._logical[a], self._logical[b]
+            self._position[qa], self._position[qb] = b, a
+            self._logical[a], self._logical[b] = qb, qa
 
     def extend(self, gates) -> None:
         for g in gates:
@@ -129,19 +116,11 @@ class Circuit:
     def swap(self, a, b): self.append(Gate("SWAP", (a, b)))
 
     @property
-    def layout(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._trace)
-
-    @property
     def final_permutation(self) -> tuple[int, ...]:
-        return self._trace[-1]
+        return tuple(self._position)
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)
-
-    def copy_empty(self) -> "Circuit":
-        return Circuit(self.num_qubits, device=self.device,
-                       initial_layout=self._trace[0])
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -29,7 +29,6 @@ from .circuit_ir import (
     Circuit,
     CostReport,
     DeviceViolation,
-    cnot_cost,
     dump_circuit,
     to_qasm,
 )
@@ -37,7 +36,6 @@ from .covering_path import TooLarge, solve_cactus
 from .graph_core import (
     Graph,
     GraphError,
-    dump_graph,
     graph_to_json_dict,
     load_graph,
     random_cactus,
@@ -51,7 +49,7 @@ from .hash_synth import (
     synthesize_hash,
     theorem1_cost,
 )
-from .qft_synth import DisconnectedRemainder, construct_s, synthesize_qft
+from .qft_synth import DisconnectedRemainder, synthesize_qft
 from .verify_sim import (
     MAX_QUBITS,
     TooManyQubits,
@@ -150,17 +148,7 @@ def path_cmd(graph_spec: str, out: str | None) -> None:
     """Solve the shortest 1-covering path on a cactus."""
     g = _resolve_graph(graph_spec)
     walk = solve_cactus(g)
-    _print_json(
-        {
-            "n": g.n,
-            "path": list(walk.vertices),
-            "length": walk.length,
-            "element_count": walk.k,
-            "distinct_count": walk.k_distinct,
-            "fringe": sorted(walk.fringe),
-        },
-        out,
-    )
+    _print_json({"n": g.n, **_walk_fields(walk), "fringe": sorted(walk.fringe)}, out)
 
 
 @cli.command(name="gen")
@@ -176,12 +164,27 @@ def gen_cmd(n: int, seed: int, out: str | None) -> None:
     _print_json(graph_to_json_dict(g), out)
 
 
+def _walk_fields(walk) -> dict:
+    return {
+        "path": list(walk.vertices),
+        "length": walk.length,
+        "element_count": walk.k,
+        "distinct_count": walk.k_distinct,
+    }
+
+
+def _corollary1(n: int, l: int, value: int) -> dict:
+    """Corollary 1's range 2nl - 4l + 2 .. 6nl - 7l + 2 and whether `value`
+    lies in it."""
+    low = 2 * n * l - 4 * l + 2
+    high = 6 * n * l - 7 * l + 2
+    return {"low": low, "high": high, "ok": low <= value <= high}
+
+
 def _hash_report(g: Graph, result, params: HashParams, seed: int) -> dict:
     n = g.n
     l = result.l
     rep: CostReport = result.cost
-    low = 2 * n * l - 4 * l + 2
-    high = 6 * n * l - 7 * l + 2
     return {
         "n": n,
         "l": l,
@@ -196,7 +199,7 @@ def _hash_report(g: Graph, result, params: HashParams, seed: int) -> dict:
         "cnot_count": rep.cnot_count,
         "formula_value": rep.formula_value,
         "formula_exact": rep.exact,
-        "corollary1": {"low": low, "high": high, "ok": low <= rep.formula_value <= high},
+        "corollary1": _corollary1(n, l, rep.formula_value),
         "target_start": result.target_start,
         "final_permutation": list(result.circuit.final_permutation),
     }
@@ -273,9 +276,8 @@ def qft_cmd(graph_spec, emit, report_flag, out) -> None:
 
 
 def _default_hash_params(n: int, p: int, epsilon: float) -> HashParams:
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    ks = tuple((j - 1) % (p - 1) + 1 for j in range(1, n))
+    # a generator: from_coefficients checks p before the k_j are drawn
+    ks = ((j - 1) % (p - 1) + 1 for j in range(1, n))
     return HashParams.from_coefficients(p, epsilon, ks)
 
 
@@ -331,24 +333,19 @@ def cost_cmd(graph_spec, l, p, epsilon) -> None:
     if n >= 2:
         walk = solve_cactus(g)
         out["path"] = {
-            "path": list(walk.vertices),
-            "length": walk.length,
-            "element_count": walk.k,
-            "distinct_count": walk.k_distinct,
+            **_walk_fields(walk),
             "lemma1_bound": 2 * n - 3,
             "lemma1_ok": walk.length <= 2 * n - 3,
         }
         params = _default_hash_params(n, p, epsilon)
         result = synthesize_hash(g, l, params)
         rep = result.cost
-        low = 2 * n * l - 4 * l + 2
-        high = 6 * n * l - 7 * l + 2
         out["hash"] = {
             "l": l,
             "cnot_count": rep.cnot_count,
             "theorem1_value": theorem1_cost(n, walk.k, walk.k_distinct, l),
             "theorem1_exact": rep.exact,
-            "corollary1": {"low": low, "high": high, "ok": low <= rep.cnot_count <= high},
+            "corollary1": _corollary1(n, l, rep.cnot_count),
         }
     else:
         out["path"] = None

@@ -140,24 +140,39 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # ---------------------------------------------------------------------------
 # Dynamic program over the block tree, rerooted.
 #
-# Seen across one of its bridges, a block summarises the part of the tree
-# on its own side: d_l is the minimum weight of a walk that starts and ends
-# at the block's end of the bridge while covering that part; d_p drops the
-# requirement to return.  A neighbour contributes nothing (it is "skipped")
-# exactly when it is a single vertex with no other bridge: the visit next
-# door already covers it.  Any other neighbour must be entered, because
-# what lies beyond it is only covered from inside.
+# One DP step scores a block for a number of free ends: walk ends that may
+# stop anywhere instead of returning to the block's pivot.  Seen across one
+# of its bridges, a block summarises the part of the tree on its own side,
+# with the walk entering at its end of the bridge (the pivot): with 0 free
+# ends the walk covers that part and returns (d_l), with 1 it may stop
+# inside it (d_p).  A root is the same step with 2 free ends: the walk
+# passes through the pivot and both of its ends are free.  A single-vertex
+# block has one pivot; a cycle root tries every position as the pivot.
+#
+# A neighbour contributes nothing (it is "skipped") exactly when it is a
+# single vertex with no other bridge: the visit next door already covers
+# it.  Any other neighbour must be entered, because what lies beyond it is
+# only covered from inside.
 #
 # Every root needs each of its neighbours as seen from it, so the DP runs
 # once per bridge direction, in two passes from block 0.  The bottom-up
 # pass gives each block its values as seen from its parent.  The top-down
 # pass gives each block its values as seen from each child: the same step,
 # with that child left out, the parent's top-down contribution in, and the
-# entry at the child's attach vertex.  Each root is then scored from its
+# pivot at the child's attach vertex.  Each root is then scored from its
 # neighbours' cached contributions; the first strict minimum in block
-# order wins, and its own record rebuilds the walk.  Emission pops tokens
-# off an explicit stack (a vertex, or a block to walk closed or open), so
-# the depth of the block tree does not matter.
+# order wins, and its own record rebuilds the walk.
+#
+# Every record has one shape, (pivot, mode, end1, end2).  The mode is
+# ("vertex",), ("perim",) (once around the cycle) or ("chain", j, a, b)
+# (cycle edge j left unwalked, arms walked to depths a and b).  An end is
+# None, ("child", block) (the walk ends inside a child at the pivot) or
+# ("armR"|"armL", depth, child) (the walk ends on an arm, or in a child
+# hanging there).  The walk runs from end1 through the pivot to end2; with
+# fewer than 2 free ends, end1 (then end2) is pinned to the pivot.
+# Emission turns a record into items, popped off an explicit stack (a
+# vertex, or a neighbouring block to walk with 0 or 1 free ends), so the
+# depth of the block tree does not matter.
 #
 # Every DP value folds two keys into one integer: unit * length + revisits,
 # where a revisit is a step onto a vertex the walk has already visited.  A
@@ -186,18 +201,51 @@ class ChildContribution:
     skipped: bool
 
 
-def dp_single_vertex(children: list[ChildContribution]):
+def _top_ends(options, ends: int) -> list:
+    """The at most `ends` (saving, end) options with the largest positive
+    savings, largest first; a tie goes to the earlier option."""
+    top: list = []
+    for opt in options:
+        if opt is None or opt[0] <= 0:
+            continue
+        i = len(top)
+        while i and opt[0] > top[i - 1][0]:
+            i -= 1
+        if i < ends:
+            top.insert(i, opt)
+            del top[ends:]
+    return top
+
+
+def _record(pivot: int, mode, top: list, ends: int):
+    """Record of a walk with `ends` free ends that stops at the `top`
+    options, largest saving first.  With one free end the walk starts at
+    the pivot (end1 is None); with two it runs from top[0] to top[1]."""
+    if ends == 0 or not top:
+        return pivot, mode, None, None
+    if ends == 1:
+        return pivot, mode, None, top[0][1]
+    return pivot, mode, top[0][1], top[1][1] if len(top) > 1 else None
+
+
+def dp_single_vertex(children: list[ChildContribution], ends: int = 1):
     """DP step for a single-vertex block: sum of child round trips, minus
-    the best savings when the walk may end inside one child."""
-    active = [c for c in children if not c.skipped]
-    d_l = sum(c.closed_cost for c in active)
-    best = None
-    for c in active:
-        if best is None or c.saving > best.saving:
-            best = c
-    if best is not None and best.saving > 0:
-        return d_l, d_l - best.saving, best.block
-    return d_l, d_l, None
+    the best savings of walk ends inside up to `ends` children.  Returns
+    [(value, record)] for 0..ends free ends."""
+    value = 0
+    options = []
+    for c in children:
+        if not c.skipped:
+            value += c.closed_cost
+            if c.saving > 0:
+                options.append((c.saving, ("child", c.block)))
+    top = _top_ends(options, ends)
+    out = []
+    for e in range(ends + 1):
+        if 0 < e <= len(top):
+            value -= top[e - 1][0]
+        out.append((value, _record(0, ("vertex",), top, e)))
+    return out
 
 
 def _arm_positions(t: int, entry: int, removal: int) -> tuple[list[int], list[int]]:
@@ -227,29 +275,44 @@ def _depths_valid(a: int, m_a: int, b: int, m_b: int) -> bool:
     return ok_a and ok_b
 
 
-def _arm_end_options(arm: list[int], depth: int, kids, back: int):
-    """End-of-walk options on one arm at the given visit depth.
+def _arm_table(name: str, seq: list[int], kids, required, back: int):
+    """Per depth d = 0..len(seq) of the arm that follows `seq` out of the
+    pivot: the best end-of-walk option, as (saving, (name, i, child)) (None
+    at d = 0), and the depth of the deepest vertex within d that must be
+    visited.
 
-    Yields (saving, (i, child_block)) where i is the depth of the vertex
-    the final descent leaves the arm at (i == depth, child None means
-    stopping at the tip); ending there saves i steps back of weight `back`.
+    i is the depth of the vertex the final descent leaves the arm at (i ==
+    d, child None means stopping at the tip); ending there saves i steps
+    back of weight `back`.  A tie goes to the tip, then to the shallower
+    vertex, then to the earlier child.
     """
-    if depth >= 1:
-        yield depth * back, (depth, None)
-    for i in range(1, depth + 1):
-        for c in kids[arm[i - 1]]:
-            yield i * back + c.saving, (i, c.block)
+    ends, deepest = [None], [0]
+    best = None  # first best child option so far: (saving, i, child)
+    for d, p in enumerate(seq, 1):
+        for c in kids[p]:
+            if best is None or d * back + c.saving > best[0]:
+                best = (d * back + c.saving, d, c.block)
+        if best is not None and best[0] > d * back:
+            ends.append((best[0], (name, best[1], best[2])))
+        else:
+            ends.append((d * back, (name, d, None)))
+        deepest.append(d if required[p] else deepest[-1])
+    return ends, deepest
 
 
 def dp_cycle(t: int, weights: list[int], entry: int,
-             vertex_children: dict[int, list[ChildContribution]], unit: int):
-    """DP step for a cycle block entered at position `entry`.
+             vertex_children: dict[int, list[ChildContribution]], unit: int,
+             ends: int = 1):
+    """DP step for a cycle block with its pivot at position `entry`.
 
     Candidates: walk the full perimeter, or pick one cycle edge to leave
     unwalked and treat the rest as a chain with two arms (the walk may
     stop one or two vertices short of an arm tip when adjacency still
-    covers the rest).  Values are folded with `unit` (see above).
-    Returns (d_l, d_p, choice records).
+    covers the rest).  Each arm holds at most one free end and the pivot's
+    children the rest.  Values are folded with `unit` (see above).
+    Returns [(value, record)] for 0..ends free ends, each the first strict
+    minimum in candidate order; the 1-end entry is the closed walk
+    whenever that is no worse.
     """
     kids = {
         p: [c for c in vertex_children.get(p, []) if not c.skipped]
@@ -262,102 +325,37 @@ def dp_cycle(t: int, weights: list[int], entry: int,
     # once around: one revisit, the step back onto the entry
     perim = s_total + unit * sum(weights) + 1
     back = unit + 1
+    at_entry = _top_ends([(c.saving, ("child", c.block)) for c in kids[entry]], ends)
+    # every right arm is a prefix of the clockwise sequence, every left arm
+    # of the counter-clockwise one
+    ends_r, deep_r = _arm_table("armR", [(entry + i) % t for i in range(1, t)],
+                                kids, required, back)
+    ends_l, deep_l = _arm_table("armL", [(entry - i) % t for i in range(1, t)],
+                                kids, required, back)
 
-    d_l, dl_choice = perim, ("perim",)
-    d_p, dp_choice = perim, ("closed",)
-    entry_best = None
-    for c in kids[entry]:
-        if entry_best is None or c.saving > entry_best.saving:
-            entry_best = c
-    if entry_best is not None and perim - entry_best.saving < d_p:
-        d_p = perim - entry_best.saving
-        dp_choice = ("perim_child", entry_best.block)
+    best: list = [None] * (ends + 1)
 
+    def consider(closed: int, mode, top: list) -> None:
+        value = closed
+        for e in range(ends + 1):
+            if 0 < e <= len(top):
+                value -= top[e - 1][0]
+            if best[e] is None or value < best[e][0]:
+                best[e] = (value, _record(entry, mode, top, e))
+
+    consider(perim, ("perim",), at_entry)
     for j in range(t):
-        right, left = _arm_positions(t, entry, j)
-        m_r, m_l = len(right), len(left)
-        req_r = max((i + 1 for i in range(m_r) if required[right[i]]), default=0)
-        req_l = max((i + 1 for i in range(m_l) if required[left[i]]), default=0)
-        for a in _arm_depth_options(m_r, req_r):
-            for b in _arm_depth_options(m_l, req_l):
-                if not _depths_valid(a, m_r, b, m_l):
-                    continue
-                closed = s_total + (a + b) * (unit + back)
-                if closed < d_l:
-                    d_l = closed
-                    dl_choice = ("chain", j, a, b)
-                # one free end: deepest-arm or child-subtree endings
-                best_s, best_end = 0, None
-                for s, (i, cb) in _arm_end_options(right, a, kids, back):
-                    if s > best_s:
-                        best_s, best_end = s, ("armR", i, cb)
-                for s, (i, cb) in _arm_end_options(left, b, kids, back):
-                    if s > best_s:
-                        best_s, best_end = s, ("armL", i, cb)
-                for c in kids[entry]:
-                    if c.saving > best_s:
-                        best_s, best_end = c.saving, ("entry_child", c.block)
-                if closed - best_s < d_p:
-                    d_p = closed - best_s
-                    dp_choice = ("chain", j, a, b, best_end)
-    if d_l <= d_p:
-        # the closed walk is no worse, so reuse it (keeps records consistent)
-        d_p = d_l
-        dp_choice = ("closed",)
-    return d_l, d_p, (dl_choice, dp_choice)
-
-
-def _best_cycle_root(t: int, weights: list[int],
-                     per_vertex: dict[int, list[ChildContribution]], unit: int):
-    """Minimum open-walk value of a cycle root with both ends free, plus a
-    record sufficient to rebuild the walk."""
-    kids = {
-        p: [c for c in per_vertex.get(p, []) if not c.skipped]
-        for p in range(t)
-    }
-    required = {p: bool(per_vertex.get(p)) for p in range(t)}
-    s_total = sum(c.closed_cost for cs in kids.values() for c in cs)
-    back = unit + 1
-    perim = s_total + unit * sum(weights) + 1
-    best = None
-    # a bare uniform cycle looks the same from every pivot
-    pivots = range(t) if any(required.values()) else [0]
-    for p in pivots:
-        pivot_opts = [(c.saving, ("pivot_child", c.block)) for c in kids[p]]
-        top = sorted(pivot_opts, key=lambda x: -x[0])[:2]
-        val = perim - sum(max(0, s) for s, _ in top)
-        ends = [e for s, e in top if s > 0] + [None, None]
-        cand = (val, (p, ("perim",), ends[0], ends[1]))
-        if best is None or cand[0] < best[0]:
-            best = cand
-        for j in range(t):
-            right, left = _arm_positions(t, p, j)
-            m_r, m_l = len(right), len(left)
-            req_r = max((i + 1 for i in range(m_r) if required[right[i]]),
-                        default=0)
-            req_l = max((i + 1 for i in range(m_l) if required[left[i]]),
-                        default=0)
-            for a in _arm_depth_options(m_r, req_r):
-                for b in _arm_depth_options(m_l, req_l):
-                    if not _depths_valid(a, m_r, b, m_l):
-                        continue
-                    closed = s_total + (a + b) * (unit + back)
-                    opts = []
-                    sR = max(_arm_end_options(right, a, kids, back),
-                             key=lambda x: x[0], default=None)
-                    if sR is not None:
-                        opts.append((sR[0], ("armR",) + sR[1]))
-                    sL = max(_arm_end_options(left, b, kids, back),
-                             key=lambda x: x[0], default=None)
-                    if sL is not None:
-                        opts.append((sL[0], ("armL",) + sL[1]))
-                    opts.extend(pivot_opts)
-                    top = sorted(opts, key=lambda x: -x[0])[:2]
-                    val = closed - sum(max(0, s) for s, _ in top)
-                    ends = [e for s, e in top if s > 0] + [None, None]
-                    cand = (val, (p, ("chain", j, a, b), ends[0], ends[1]))
-                    if cand[0] < best[0]:
-                        best = cand
+        # edge (j, j + 1) unwalked: arm lengths as in _arm_positions
+        m_r = (j - entry) % t
+        m_l = t - 1 - m_r
+        for a in _arm_depth_options(m_r, deep_r[m_r]):
+            for b in _arm_depth_options(m_l, deep_l[m_l]):
+                if _depths_valid(a, m_r, b, m_l):
+                    consider(s_total + (a + b) * (unit + back), ("chain", j, a, b),
+                             _top_ends([ends_r[a], ends_l[b]] + at_entry, ends))
+    if ends and best[0][0] <= best[1][0]:
+        # the closed walk is no worse, so the 1-end record is the closed one
+        best[1] = best[0]
     return best
 
 
@@ -374,8 +372,9 @@ class _Rerooted:
         self.unit = sum(len(a) for a in tvc.adjacency) + 1  # the fold's step weight
         # into[b]: each neighbour's contribution seen from b, in _order_key order
         self.into: list[list[ChildContribution]] = [[] for _ in bt.blocks]
-        # choice[b][towards]: DP record of b seen from its neighbour `towards`
-        self.choice: list[dict[int, object]] = [{} for _ in bt.blocks]
+        # choice[b][towards]: records of b seen from its neighbour `towards`,
+        # indexed by free ends (0 or 1)
+        self.choice: list[dict[int, tuple]] = [{} for _ in bt.blocks]
         # bridge[b][other]: (weight, own attach vertex, its position in b)
         self.bridge: list[dict[int, tuple[int, int, int]]] = []
         self.weights: dict[int, list[int]] = {}
@@ -406,7 +405,9 @@ class _Rerooted:
                 if parent[other] == b:
                     self._push(b, other)
 
-    def _kids(self, b: int, up: int) -> list[ChildContribution]:
+    def _kids(self, b: int, up: int | None) -> list[ChildContribution]:
+        if up is None:
+            return self.into[b]
         return [c for c in self.into[b] if c.block != up]
 
     def _by_position(self, b: int, kids) -> dict[int, list[ChildContribution]]:
@@ -415,18 +416,22 @@ class _Rerooted:
             out.setdefault(self.bridge[b][c.block][2], []).append(c)
         return out
 
-    def _push(self, b: int, towards: int) -> None:
-        """One DP step: block b seen across its bridge to `towards`, handed
-        to `towards` as a child contribution."""
+    def _step(self, b: int, up: int | None, pivot: int, ends: int):
+        """The DP step of block b without its neighbour `up` (None for a
+        root), pivot at position `pivot`."""
         kind, verts = self.bt.blocks[b]
-        w, own, e_pos = self.bridge[b][towards]
-        kids = self._kids(b, towards)
+        kids = self._kids(b, up)
         if kind == "vertex":
-            d_l, d_p, ch = dp_single_vertex(kids)
-        else:
-            d_l, d_p, ch = dp_cycle(len(verts), self.weights[b], e_pos,
-                                    self._by_position(b, kids), self.unit)
-        self.choice[b][towards] = ch
+            return dp_single_vertex(kids, ends)
+        return dp_cycle(len(verts), self.weights[b], pivot,
+                        self._by_position(b, kids), self.unit, ends)
+
+    def _push(self, b: int, towards: int) -> None:
+        """Block b seen across its bridge to `towards`, handed to `towards`
+        as a child contribution."""
+        w, own, e_pos = self.bridge[b][towards]
+        (d_l, closed), (d_p, open_) = self._step(b, towards, e_pos, 1)
+        self.choice[b][towards] = (closed, open_)
         out, back = self.unit, self.unit + 1
         self.into[towards].append(
             ChildContribution(
@@ -435,29 +440,23 @@ class _Rerooted:
                 # over the bridge onto a new vertex, back as a revisit
                 closed_cost=d_l + w * (out + back),
                 saving=d_l - d_p + w * back,
-                skipped=kind == "vertex" and len(self.bridge[b]) == 1,
+                skipped=self.bt.blocks[b][0] == "vertex" and len(self.bridge[b]) == 1,
             )
         )
 
     def root_walk(self, r: int):
-        """Minimum open-walk value with block r as root and both endpoints
-        free, plus a record sufficient to rebuild the walk."""
-        kind, verts = self.bt.blocks[r]
-        if kind == "cycle":
-            return _best_cycle_root(len(verts), self.weights[r],
-                                    self._by_position(r, self.into[r]), self.unit)
-        active = [c for c in self.into[r] if not c.skipped]
-        savings = sorted(
-            (c for c in active if c.saving > 0),
-            key=lambda c: (-c.saving, c.entry, c.block),
-        )[:2]
-        ends = [("pivot_child", c.block) for c in savings] + [None, None]
-        value = sum(c.closed_cost for c in active) - sum(c.saving for c in savings)
-        return value, (0, ("vertex",), ends[0], ends[1])
+        """Minimum open-walk value with block r as root and both ends free,
+        plus its record: the first strict minimum in pivot order."""
+        best = None
+        for pivot in range(len(self.bt.blocks[r][1])):
+            value, record = self._step(r, None, pivot, 2)[2]
+            if best is None or value < best[0]:
+                best = (value, record)
+        return best
 
     # -- reconstruction ----------------------------------------------------
-    # Item lists mix vertices with (open, block, up) tokens: walk `block`,
-    # entered from its neighbour `up`, and return to the entry unless open.
+    # Item lists mix vertices with (free ends, block, up) tokens: walk
+    # `block`, entered from its neighbour `up`, with 0 or 1 free ends.
 
     def _expand(self, items: list) -> list[int]:
         """Replace tokens by their items until only vertices are left."""
@@ -468,8 +467,10 @@ class _Rerooted:
             if isinstance(item, int):
                 walk.append(item)
             else:
-                is_open, b, up = item
-                stack.extend(reversed(self._block_items(b, up, is_open)))
+                ends, b, up = item
+                # a bridge record pins end1 to the pivot: its head is empty
+                _, rest = self._items(b, up, self.choice[b][up][ends])
+                stack.extend(reversed(rest))
         return walk
 
     def _exc(self, b: int, pos_kids, p: int, omit=()) -> list:
@@ -478,7 +479,7 @@ class _Rerooted:
         vtx = self.bt.blocks[b][1][p]
         for c in pos_kids.get(p, []):
             if not c.skipped and c.block not in omit:
-                items += [(False, c.block, b), vtx]
+                items += [(0, c.block, b), vtx]
         return items
 
     def _perimeter(self, b: int, pos_kids, start: int, omit=()) -> list:
@@ -501,79 +502,46 @@ class _Rerooted:
             items += [verts[arm[i]]] + self._exc(b, pos_kids, arm[i], omit)
         items += [verts[arm[i]] for i in range(depth - 2, max(i_end - 2, -1), -1)]
         if child is not None:
-            items.append((True, child, b))
+            items.append((1, child, b))
         return items
 
-    def _arm_closed(self, b, pos_kids, arm, depth, e_pos) -> list:
+    def _arm_closed(self, b, pos_kids, arm, depth, pivot) -> list:
         items = self._arm_open(b, pos_kids, arm, depth, 0, None)
-        return items + [self.bt.blocks[b][1][e_pos]] if depth else items
+        return items + [self.bt.blocks[b][1][pivot]] if depth else items
 
-    def _cycle_closed(self, b, pos_kids, e_pos, dl_choice) -> list:
-        if dl_choice[0] == "perim":
-            return self._perimeter(b, pos_kids, e_pos)
-        _, j, a, bdep = dl_choice
-        right, left = _arm_positions(len(self.bt.blocks[b][1]), e_pos, j)
-        return ([self.bt.blocks[b][1][e_pos]] + self._exc(b, pos_kids, e_pos)
-                + self._arm_closed(b, pos_kids, right, a, e_pos)
-                + self._arm_closed(b, pos_kids, left, bdep, e_pos))
-
-    def _block_items(self, b: int, up: int, is_open: bool) -> list:
-        kind, verts = self.bt.blocks[b]
+    def _items(self, b: int, up: int | None, record) -> tuple[list, list]:
+        """Items of block b's record, entered from `up` (None for a root),
+        as (head, rest): head runs from the pivot out to end1, rest from
+        the pivot on to end2, so the walk is head reversed, then rest."""
+        verts = self.bt.blocks[b][1]
         pos_kids = self._by_position(b, self._kids(b, up))
-        e_pos = self.bridge[b][up][2]
-        ch = self.choice[b][up]
-        if kind == "vertex":
-            open_child = ch if is_open else None
-            items = [verts[0]] + self._exc(b, pos_kids, 0, omit=(open_child,))
-            return items + [(True, open_child, b)] if open_child is not None else items
-        dl_choice, dp_choice = ch
-        if not is_open or dp_choice[0] == "closed":
-            return self._cycle_closed(b, pos_kids, e_pos, dl_choice)
-        if dp_choice[0] == "perim_child":
-            child = dp_choice[1]
-            return self._perimeter(b, pos_kids, e_pos, omit=(child,)) + [(True, child, b)]
-        _, j, a, bdep, end = dp_choice
-        right, left = _arm_positions(len(verts), e_pos, j)
-        omit_entry = (end[1],) if end[0] == "entry_child" else ()
-        items = [verts[e_pos]] + self._exc(b, pos_kids, e_pos, omit=omit_entry)
-        if end[0] == "entry_child":
-            return (items + self._arm_closed(b, pos_kids, right, a, e_pos)
-                    + self._arm_closed(b, pos_kids, left, bdep, e_pos)
-                    + [(True, end[1], b)])
-        if end[0] == "armR":
-            return (items + self._arm_closed(b, pos_kids, left, bdep, e_pos)
-                    + self._arm_open(b, pos_kids, right, a, end[1], end[2]))
-        return (items + self._arm_closed(b, pos_kids, right, a, e_pos)
-                + self._arm_open(b, pos_kids, left, bdep, end[1], end[2]))
+        p, mode, *ends = record
+        at_pivot = [e[1] for e in ends if e is not None and e[0] == "child"]
+        arms = {}
+        if mode[0] == "perim":
+            middle = self._perimeter(b, pos_kids, p, omit=at_pivot)
+        else:
+            middle = [verts[p]] + self._exc(b, pos_kids, p, omit=at_pivot)
+        if mode[0] == "chain":
+            _, j, a, depth_l = mode
+            right, left = _arm_positions(len(verts), p, j)
+            arms = {"armR": (right, a), "armL": (left, depth_l)}
+            open_arms = {e[0] for e in ends if e is not None}
+            for name, (arm, depth) in arms.items():
+                if name not in open_arms:
+                    middle += self._arm_closed(b, pos_kids, arm, depth, p)
+        head, tail = (
+            [] if e is None
+            else [(1, e[1], b)] if e[0] == "child"
+            else self._arm_open(b, pos_kids, *arms[e[0]], e[1], e[2])
+            for e in ends
+        )
+        return head, middle + tail
 
     def emit_root(self, r: int, record) -> list[int]:
         """The vertex-cactus walk of root r's record, built without recursion."""
-        verts = self.bt.blocks[r][1]
-        pos_kids = self._by_position(r, self.into[r])
-        p, mode, e1, e2 = record
-        used = [e[1] for e in (e1, e2) if e is not None and e[0] == "pivot_child"]
-        if mode[0] == "vertex":
-            middle = [verts[0]] + self._exc(r, pos_kids, 0, omit=used)
-        elif mode[0] == "perim":
-            middle = self._perimeter(r, pos_kids, p, omit=used)
-        else:
-            _, j, a, bdep = mode
-            right, left = _arm_positions(len(verts), p, j)
-            arm_spec = {"armR": (right, a), "armL": (left, bdep)}
-            open_arms = {e[0] for e in (e1, e2) if e is not None}
-            middle = [verts[p]] + self._exc(r, pos_kids, p, omit=used)
-            for name in ("armR", "armL"):
-                if name not in open_arms:
-                    middle += self._arm_closed(r, pos_kids, *arm_spec[name], p)
-        ends = []
-        for e in (e1, e2):
-            if e is None:
-                ends.append([])
-            elif e[0] == "pivot_child":
-                ends.append([(True, e[1], r)])
-            else:
-                ends.append(self._arm_open(r, pos_kids, *arm_spec[e[0]], e[1], e[2]))
-        return self._expand(ends[0])[::-1] + self._expand(middle) + self._expand(ends[1])
+        head, rest = self._items(r, None, record)
+        return self._expand(head)[::-1] + self._expand(rest)
 
 
 def solve_root_choices(tvc: WeightedVertexCactus, bt: BlockTree):

@@ -50,12 +50,3 @@ def chain_of_squares(t: int) -> Graph:
 def fig3_cactus() -> Graph:
     """The 10-vertex three-square chain."""
     return chain_of_squares(3)
-
-
-FAMILIES = {
-    "line": line,
-    "cycle": cycle,
-    "star": star,
-    "complete": complete,
-    "chain4": chain_of_squares,
-}

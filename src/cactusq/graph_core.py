@@ -4,7 +4,6 @@ Contains:
     - Graph: immutable undirected simple graph with sorted adjacency.
     - validate_cactus(): connectivity + cactus check, returns the cycle
       decomposition (every edge on at most one simple cycle).
-    - prune_leaves(): iteratively strip degree-1 vertices.
     - build_vertex_cactus(): split vertices shared by several cycles so that
       every vertex lies on at most one cycle; copies of the same vertex are
       linked by weight-0 edges, original edges keep weight 1.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -170,33 +168,6 @@ def validate_cactus(g: Graph) -> CycleDecomposition:
         membership=tuple(tuple(m) for m in membership),
         cycle_of_edge=edge_cycle,
     )
-
-
-def prune_leaves(g: Graph) -> tuple[Graph, set[int]]:
-    """Repeatedly remove degree-1 vertices (stopping at a single vertex).
-
-    The returned graph keeps the original vertex labels; pruned vertices
-    become isolated.  Also returns the set of pruned vertices.
-    """
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    remaining = g.n
-    queue = deque(v for v in range(g.n) if degree[v] == 1)
-    pruned: set[int] = set()
-    while queue and remaining > 1:
-        v = queue.popleft()
-        if not alive[v] or degree[v] != 1:
-            continue
-        alive[v] = False
-        pruned.add(v)
-        remaining -= 1
-        for u in g.adjacency[v]:
-            if alive[u]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    queue.append(u)
-    edges = [(u, v) for u, v in g.edges() if alive[u] and alive[v]]
-    return Graph.from_edges(g.n, edges), pruned
 
 
 @dataclass(frozen=True)

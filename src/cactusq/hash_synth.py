@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .circuit_ir import Circuit, CostReport, Gate, cnot_cost
 from .covering_path import CoveringPath, solve_cactus
 from .graph_core import Graph
+from .verify_sim import check_good_set
 
 
 class PathNotCovering(Exception):
@@ -27,6 +28,15 @@ class PathNotCovering(Exception):
 
 class SearchExhausted(Exception):
     """No good coefficient set found within the trial budget."""
+
+
+def _fingerprint_count(p: int, epsilon: float) -> int:
+    """t = ceil((2/epsilon) ln 2p), once p >= 2 and 0 < epsilon < 0.5 hold."""
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 0.5)")
+    return math.ceil((2.0 / epsilon) * math.log(2 * p))
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,8 @@ class HashParams:
 
     @staticmethod
     def from_coefficients(p: int, epsilon: float, coefficients) -> "HashParams":
+        t = _fingerprint_count(p, epsilon)
         ks = tuple(int(k) for k in coefficients)
-        t = math.ceil((2.0 / epsilon) * math.log(2 * p))
         return HashParams(
             p=p,
             epsilon=epsilon,
@@ -216,15 +226,6 @@ def hash_reference_circuit(g: Graph, l: int, angles, target_start: int) -> Circu
     return c
 
 
-def _direct_ok(ks, p: int, epsilon: float) -> bool:
-    t = len(ks)
-    for g in range(1, p):
-        mean = sum(math.cos(2 * math.pi * k * g / p) for k in ks) / t
-        if mean * mean >= epsilon:
-            return False
-    return True
-
-
 def _induced_ok(ks, p: int, epsilon: float) -> bool:
     """Bound the automaton's all-zero amplitude at every nonzero residue:
     the w independent controls realize all 2^w subset sums, whose cosine
@@ -245,25 +246,15 @@ def find_good_set(p: int, epsilon: float, seed: int = 0,
     acceptance below epsilon (both per the direct mean-cosine condition and
     for the subset-sum automaton).  Deterministic under `seed`.
     """
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
-    t = math.ceil((2.0 / epsilon) * math.log(2 * p))
+    t = _fingerprint_count(p, epsilon)
     draw = size if size is not None else t
     if draw < 1:
         raise ValueError("a coefficient set needs at least one coefficient")
     rng = random.Random(seed)
     for _ in range(max_trials):
         ks = tuple(rng.randrange(1, p) for _ in range(draw))
-        if _direct_ok(ks, p, epsilon) and _induced_ok(ks, p, epsilon):
-            return HashParams(
-                p=p,
-                epsilon=epsilon,
-                t=t,
-                coefficients=ks,
-                angles=tuple(4.0 * math.pi * k / p for k in ks),
-            )
+        if _induced_ok(ks, p, epsilon) and check_good_set(ks, p, epsilon)[0]:
+            return HashParams.from_coefficients(p, epsilon, ks)
     raise SearchExhausted(
         f"no good set of size {draw} for p={p}, epsilon={epsilon} "
         f"in {max_trials} trials"

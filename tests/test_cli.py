@@ -146,6 +146,10 @@ class TestCostAndGen:
         (("verify", "--graph", "line3", "--what", "hash", "--p", "1"),
          "modulus must be at least 2"),
         (("hash", "--graph", "line1"), "hashing needs at least 2 qubits"),
+        (("cost", "--graph", "line3", "--epsilon", "0"), "epsilon must lie in (0, 0.5)"),
+        (("verify", "--graph", "line3", "--what", "hash", "--epsilon", "0"),
+         "epsilon must lie in (0, 0.5)"),
+        (("cost", "--graph", "line3", "--epsilon", "-1"), "epsilon must lie in (0, 0.5)"),
     ])
     def test_degenerate_input_one_line_error(self, args, message):
         proc = run_cli(*args, expect_code=1)

@@ -1,7 +1,10 @@
 """Covering-path solver tests: the brute-force oracles, hand-worked
 family values, solver-vs-oracle equality on random cacti and on hard
 families, the 2n-3 length bound, the tie-break towards the fewest
-revisits, and block trees deeper than the recursion limit."""
+revisits, block trees deeper than the recursion limit, and a digest that
+pins every walk of a fixed corpus."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -242,3 +245,34 @@ class TestSolverPrefersSimpleWalks:
                 assert p.k == len(simple) and p.k == p.k_distinct, (n, seed, p.vertices)
             assert p.k - p.k_distinct == fewest_revisits(g, p.k), (n, seed, p.vertices)
         assert simple_cases > 0
+
+
+class TestPinnedWalks:
+    # Which of several equally good walks the solver returns is decided by
+    # enumeration order alone; this digest of the walks of a fixed corpus
+    # catches any change to that order.  Update it only for a change that
+    # means to pick different walks, and say which walks changed.
+    DIGEST = "dbe350afad5ce36a9b0d2be2208c2be50a007a4aaac77fa614896ac7144d4ab2"
+
+    @staticmethod
+    def corpus():
+        for n in range(2, 41):
+            for seed in range(20):
+                yield random_cactus(n, seed)
+        for cycle_prob in (0.2, 0.85):
+            for seed in range(20):
+                yield random_cactus(30, seed, cycle_prob)
+        for n in range(1, 41):
+            yield line(n)
+            yield star(n)
+        for n in range(3, 41):
+            yield cycle(n)
+        for t in range(1, 14):
+            yield chain_of_squares(t)
+        yield fig3_cactus()
+
+    def test_walks_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for g in self.corpus():
+            digest.update(f"{solve_cactus(g).vertices}\n".encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactusq.families import chain_of_squares, complete, cycle, fig3_cactus, line, star
+from cactusq.families import chain_of_squares, complete, cycle, fig3_cactus, line
 from cactusq.graph_core import (
     Graph,
     GraphFormatError,
@@ -18,7 +18,6 @@ from cactusq.graph_core import (
     build_vertex_cactus,
     graph_from_json_dict,
     graph_to_json_dict,
-    prune_leaves,
     random_cactus,
     validate_cactus,
 )
@@ -80,18 +79,6 @@ class TestCactusValidation:
         d = validate_cactus(g)
         assert len(d.membership[0]) == 2
         assert len(d.membership[1]) == 1
-
-
-class TestPruneLeaves:
-    def test_star_prunes_to_center(self):
-        pruned, removed = prune_leaves(star(6))
-        assert removed == {1, 2, 3, 4, 5}
-        assert pruned.degree(0) == 0
-
-    def test_cycle_prunes_nothing(self):
-        pruned, removed = prune_leaves(cycle(5))
-        assert removed == set()
-        assert pruned.m == 5
 
 
 class TestVertexCactus:
