@@ -1,10 +1,13 @@
 """Gate-level IR over physical qubits.
 
 Contents: the `Gate` and `Circuit` value types (with device-adjacency
-checking and the final qubit permutation the SWAPs leave), `decompose`
-into the basic set {H, X, Ry, Rz, CNOT} with the controlled-rotation/SWAP
-fusion applied at synthesis seams, `cancel_adjacent_cnots`, `cnot_cost`, a
-QASM-flavored text emitter, and a JSON gate-list dump/load pair.
+checking and the final qubit permutation the SWAPs leave); one lowering
+table onto the basic set {H, X, Ry, Rz, CNOT}, with the controlled-
+rotation/SWAP fusion applied at synthesis seams, read by `decompose` (a
+basic-gate `Circuit`), `to_qasm` (QASM-flavored text written straight from
+the table) and `cnot_cost` (the `cx` lines `to_qasm` writes, counted in
+one pass over the composite gates); `cancel_adjacent_cnots`, a peephole
+pass kept apart from the cost; and a JSON gate-list dump/load pair.
 
 Gate matrices follow the conventions used throughout this package:
 Ry(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]],
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from .graph_core import Graph
 
 BASIC_KINDS = ("H", "X", "Ry", "Rz", "CNOT")
-COMPOSITE_KINDS = ("CRy", "CRz", "CRd", "SWAP", "Rk")
 KIND_ARITY = {
     "H": 1, "X": 1, "Ry": 1, "Rz": 1, "Rk": 1,
     "CNOT": 2, "CRy": 2, "CRz": 2, "CRd": 2, "SWAP": 2,
@@ -130,7 +132,8 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition into {H, X, Ry, Rz, CNOT}.
+# Lowering onto {H, X, Ry, Rz, CNOT}: one table, read by `decompose`,
+# `to_qasm` and `cnot_cost`.
 #
 # CRy(t) on (c,v):        Ry_v(t/2) . CX . Ry_v(-t/2) . CX          (2 CNOTs)
 # CRz(t) on (c,v):        Rz_v(t/2) . CX . Rz_v(-t/2) . CX          (2 CNOTs)
@@ -141,59 +144,62 @@ class Circuit:
 # rotation annihilates the leading CX of the SWAP.
 # ---------------------------------------------------------------------------
 
-
-def _basic_cr(kind: str, c: int, t: int, half: float) -> list[Gate]:
-    rot = "Ry" if kind == "CRy" else "Rz"
-    return [
-        Gate(rot, (t,), theta=half),
-        Gate("CNOT", (c, t)),
-        Gate(rot, (t,), theta=-half),
-        Gate("CNOT", (c, t)),
-    ]
+_CONTROLLED = ("CRy", "CRz", "CRd")
+_CNOTS = {"CNOT": 1, "SWAP": 3, "CRy": 2, "CRz": 2, "CRd": 2}
 
 
-def _lower(gate: Gate, fuse_swap: bool) -> list[Gate]:
+def _fused(gates: list[Gate]):
+    """Yields (gate, fuse): fuse is set on a controlled rotation whose
+    next gate is a SWAP on the same pair, and that SWAP is skipped."""
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        fuse = (
+            g.kind in _CONTROLLED
+            and i + 1 < len(gates)
+            and gates[i + 1].kind == "SWAP"
+            and set(gates[i + 1].qubits) == set(g.qubits)
+        )
+        yield g, fuse
+        i += 2 if fuse else 1
+
+
+def _rows(gate: Gate, fuse_swap: bool) -> list[tuple]:
+    """Basic (kind, qubits, theta) rows of `gate`, or of `gate` and the
+    SWAP it fuses with."""
     kind = gate.kind
-    if kind in ("H", "X", "Ry", "Rz", "CNOT"):
-        return [gate]
+    if kind in BASIC_KINDS:
+        return [(kind, gate.qubits, gate.theta)]
     if kind == "Rk":
-        alpha = math.pi / 2 ** (gate.d - 1)
-        return [Gate("Rz", gate.qubits, theta=-alpha)]
+        return [("Rz", gate.qubits, -math.pi / 2 ** (gate.d - 1))]
     if kind == "SWAP":
         a, b = gate.qubits
-        return [Gate("CNOT", (a, b)), Gate("CNOT", (b, a)),
-                Gate("CNOT", (a, b))]
+        return [("CNOT", (a, b), None), ("CNOT", (b, a), None), ("CNOT", (a, b), None)]
     c, t = gate.qubits
-    if kind in ("CRy", "CRz"):
-        out = _basic_cr(kind, c, t, gate.theta / 2)
-    else:  # CRd: with Rz = diag(e^{it/2}, e^{-it/2}) the half-angles invert
-        alpha = math.pi / 2 ** (gate.d - 1)
-        out = _basic_cr("CRz", c, t, -alpha / 2) + [Gate("Rz", (c,), theta=-alpha / 2)]
-        if fuse_swap:
-            # move the control phase before the CNOT pair it commutes with
-            out = out[:3] + [out[4]] + [out[3]]
+    rot = "Ry" if kind == "CRy" else "Rz"
+    if kind == "CRd":  # with Rz = diag(e^{it/2}, e^{-it/2}) the half-angles invert
+        half = -(math.pi / 2 ** (gate.d - 1)) / 2
+        phase = [("Rz", (c,), half)]  # on the control
+    else:
+        half, phase = gate.theta / 2, []
+    rows = [(rot, (t,), half), ("CNOT", (c, t), None), (rot, (t,), -half)]
     if fuse_swap:
-        # drop the trailing CX; together with the SWAP's leading CX it cancels
-        assert out[-1] == Gate("CNOT", (c, t))
-        out = out[:-1] + [Gate("CNOT", (t, c)), Gate("CNOT", (c, t))]
-    return out
+        # the control phase commutes before the last CNOT pair; the trailing
+        # CX and the SWAP's leading CX cancel
+        return rows + phase + [("CNOT", (t, c), None), ("CNOT", (c, t), None)]
+    return rows + [("CNOT", (c, t), None)] + phase
+
+
+def _lowered(c: Circuit):
+    """Basic rows of the whole circuit, in order."""
+    for g, fuse in _fused(c.gates):
+        yield from _rows(g, fuse)
 
 
 def decompose(c: Circuit) -> Circuit:
     """Rewrite onto the basic gate set, fusing CR+SWAP pairs on one edge."""
     out = Circuit(c.num_qubits, device=c.device)
-    i = 0
-    while i < len(c.gates):
-        g = c.gates[i]
-        nxt = c.gates[i + 1] if i + 1 < len(c.gates) else None
-        fuse = (
-            g.kind in ("CRy", "CRz", "CRd")
-            and nxt is not None
-            and nxt.kind == "SWAP"
-            and set(nxt.qubits) == set(g.qubits)
-        )
-        out.extend(_lower(g, fuse))
-        i += 2 if fuse else 1
+    out.extend(Gate(kind, qubits, theta=theta) for kind, qubits, theta in _lowered(c))
     return out
 
 
@@ -225,8 +231,11 @@ def cancel_adjacent_cnots(c: Circuit) -> Circuit:
 
 
 def cnot_cost(c: Circuit) -> int:
-    """CNOT count of the decomposed (and peephole-cancelled) circuit."""
-    return cancel_adjacent_cnots(decompose(c)).count("CNOT")
+    """Number of `cx` lines `to_qasm` writes, counted over the composite
+    gates in one pass: CNOT 1, SWAP 3, controlled rotation 2, and a fused
+    CR+SWAP pair 3.  No peephole cancellation is applied; that is
+    `cancel_adjacent_cnots`, a pass of its own."""
+    return sum(_CNOTS.get(g.kind, 0) + fuse for g, fuse in _fused(c.gates))
 
 
 @dataclass(frozen=True)
@@ -253,27 +262,15 @@ class CostReport:
 
 
 def to_qasm(c: Circuit) -> str:
-    """QASM-flavored text; composite gates are lowered first."""
-    if any(not g.is_basic for g in c.gates):
-        c = decompose(c)
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{c.num_qubits}];",
-    ]
-    for g in c.gates:
-        if g.kind == "H":
-            lines.append(f"h q[{g.qubits[0]}];")
-        elif g.kind == "X":
-            lines.append(f"x q[{g.qubits[0]}];")
-        elif g.kind == "Ry":
-            lines.append(f"ry({g.theta:.17g}) q[{g.qubits[0]}];")
-        elif g.kind == "Rz":
-            lines.append(f"rz({g.theta:.17g}) q[{g.qubits[0]}];")
-        elif g.kind == "CNOT":
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        else:  # pragma: no cover - decompose() leaves only basic kinds
-            raise AssertionError(f"unlowered gate {g.kind}")
+    """QASM-flavored text of the lowered circuit, formatted row by row."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
+    for kind, q, theta in _lowered(c):
+        if kind == "CNOT":
+            lines.append(f"cx q[{q[0]}],q[{q[1]}];")
+        elif theta is None:
+            lines.append(f"{kind.lower()} q[{q[0]}];")
+        else:
+            lines.append(f"{kind.lower()}({theta:.17g}) q[{q[0]}];")
     return "\n".join(lines) + "\n"
 
 

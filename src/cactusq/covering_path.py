@@ -311,8 +311,7 @@ def dp_cycle(t: int, weights: list[int], entry: int,
     covers the rest).  Each arm holds at most one free end and the pivot's
     children the rest.  Values are folded with `unit` (see above).
     Returns [(value, record)] for 0..ends free ends, each the first strict
-    minimum in candidate order; the 1-end entry is the closed walk
-    whenever that is no worse.
+    minimum in candidate order.
     """
     kids = {
         p: [c for c in vertex_children.get(p, []) if not c.skipped]
@@ -353,9 +352,6 @@ def dp_cycle(t: int, weights: list[int], entry: int,
                 if _depths_valid(a, m_r, b, m_l):
                     consider(s_total + (a + b) * (unit + back), ("chain", j, a, b),
                              _top_ends([ends_r[a], ends_l[b]] + at_entry, ends))
-    if ends and best[0][0] <= best[1][0]:
-        # the closed walk is no worse, so the 1-end record is the closed one
-        best[1] = best[0]
     return best
 
 

@@ -36,7 +36,10 @@ def _fingerprint_count(p: int, epsilon: float) -> int:
         raise ValueError("modulus must be at least 2")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
-    return math.ceil((2.0 / epsilon) * math.log(2 * p))
+    t = (2.0 / epsilon) * math.log(2 * p)
+    if math.isinf(t):
+        raise ValueError(f"epsilon {epsilon!r} is too small")
+    return math.ceil(t)
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,9 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
     return c
 
 
-def _merge_boundary(gates: list[Gate], incoming: list[Gate]) -> list[Gate]:
-    """Concatenate applications, merging the shared boundary CRy pair."""
+def _merge_boundary(gates: list[Gate], incoming: list[Gate]) -> None:
+    """Append an application to `gates` in place, merging the shared
+    boundary CRy pair."""
     if (
         gates
         and incoming
@@ -161,11 +165,11 @@ def _merge_boundary(gates: list[Gate], incoming: list[Gate]) -> list[Gate]:
         and incoming[0].kind == "CRy"
         and gates[-1].qubits == incoming[0].qubits
     ):
-        merged = Gate(
+        gates[-1] = Gate(
             "CRy", gates[-1].qubits, theta=gates[-1].theta + incoming[0].theta
         )
-        return gates[:-1] + [merged] + incoming[1:]
-    return gates + incoming
+        incoming = incoming[1:]
+    gates.extend(incoming)
 
 
 def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int) -> list[Gate]:
@@ -184,7 +188,7 @@ def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int) -> lis
         angle_map = {u: per_logical(occ[u]) for u in range(g.n) if u != verts[0]}
         lead = gates[-1].qubits[0] if gates and gates[-1].kind == "CRy" else None
         app = construct_for_path(g, path, angle_map, direction, lead_control=lead)
-        gates = _merge_boundary(gates, app.gates)
+        _merge_boundary(gates, app.gates)
         for cur, nxt in zip(verts, verts[1:]):
             occ[cur], occ[nxt] = occ[nxt], occ[cur]
     return gates

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .circuit_ir import Circuit, CostReport, cnot_cost
 from .covering_path import CoveringPath, brute_force_oracle, solve_cactus
-from .graph_core import Graph, NotACactus
+from .graph_core import Graph, NotACactus, NotConnected
 
 
 class DisconnectedRemainder(Exception):
@@ -117,6 +117,8 @@ def construct_s(g: Graph) -> CascadePlan:
         staged.append((r, path, park, tuple(alive), snapshot))
         alive.remove(park)
     a, b = sorted(alive)
+    if not g.has_edge(a, b):  # parks keep survivors connected, so only n = 2
+        raise NotConnected(f"vertex {b} unreachable from {a}")
     labels[occ[a]] = n - 1
     labels[occ[b]] = n
     staged.append((n - 1, (a,), None, (a, b), tuple(occ)))

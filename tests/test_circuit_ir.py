@@ -1,6 +1,10 @@
 """Circuit IR tests: gate validation, device adjacency enforcement, the
 SWAP layout trace, composite decomposition with CR+SWAP fusion, CNOT
-cancellation, cost reports, and the QASM/JSON emitters."""
+cancellation, the one-pass CNOT count against the lowered circuit and the
+QASM text, cost reports, the QASM/JSON emitters, and a digest that pins
+the QASM text of a fixed corpus."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,8 +27,25 @@ from cactusq.circuit_ir import (
     load_circuit,
     to_qasm,
 )
-from cactusq.families import line
+from cactusq.families import fig3_cactus, line
+from cactusq.graph_core import random_cactus
+from cactusq.hash_synth import HashParams, synthesize_hash
+from cactusq.qft_synth import synthesize_qft
 from cactusq.verify_sim import unitary_of
+
+
+def _synthesized(g):
+    """The QFT circuit of g and its hash circuits at l = 1, 2, 3."""
+    p = 17
+    ks = tuple((j - 1) % (p - 1) + 1 for j in range(1, g.n))
+    params = HashParams.from_coefficients(p, 0.25, ks)
+    yield synthesize_qft(g)[0]
+    for l in (1, 2, 3):
+        yield synthesize_hash(g, l, params).circuit
+
+
+def _cx_lines(text: str) -> int:
+    return sum(1 for row in text.splitlines() if row.startswith("cx "))
 
 
 class TestGateValidation:
@@ -149,21 +170,21 @@ class TestCancelAdjacent:
         c = Circuit(2)
         c.cnot(0, 1)
         c.cnot(0, 1)
-        assert cnot_cost(c) == 0
+        assert cancel_adjacent_cnots(decompose(c)).count("CNOT") == 0
 
     def test_intervening_gate_blocks(self):
         c = Circuit(2)
         c.cnot(0, 1)
         c.h(1)
         c.cnot(0, 1)
-        assert cnot_cost(c) == 2
+        assert cancel_adjacent_cnots(decompose(c)).count("CNOT") == 2
 
     def test_spectator_wire_does_not_block(self):
         c = Circuit(3)
         c.cnot(0, 1)
         c.h(2)
         c.cnot(0, 1)
-        assert cnot_cost(c) == 0
+        assert cancel_adjacent_cnots(decompose(c)).count("CNOT") == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 100))
@@ -174,6 +195,30 @@ class TestCancelAdjacent:
         u, v = unitary_of(lowered), unitary_of(canceled)
         idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
         assert np.abs(v - (v[idx] / u[idx]) * u).max() < 1e-12
+
+
+class TestOnePassCount:
+    # cnot_cost counts over the composite gates; it must equal the CNOTs of
+    # the lowered circuit and the cx lines of the QASM text, and on
+    # synthesized circuits the cancel pass finds nothing to remove.
+    def test_corpus_counts_agree(self):
+        mismatches = []
+        for n in range(4, 15):
+            for seed in range(20):
+                for i, c in enumerate(_synthesized(random_cactus(n, seed))):
+                    lowered = decompose(c)
+                    counts = (cnot_cost(c), lowered.count("CNOT"),
+                              cancel_adjacent_cnots(lowered).count("CNOT"),
+                              _cx_lines(to_qasm(c)))
+                    if len(set(counts)) != 1:
+                        mismatches.append((n, seed, i, counts))
+        assert not mismatches
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 10_000), st.integers(0, 40))
+    def test_random_circuit_cost_is_qasm_cx_lines(self, n, seed, length):
+        c = random_circuit(n, seed, length=length)
+        assert cnot_cost(c) == _cx_lines(to_qasm(c)) == decompose(c).count("CNOT")
 
 
 class TestCostReport:
@@ -214,3 +259,24 @@ class TestEmitters:
         c.cnot(0, 2)
         with pytest.raises(DeviceViolation):
             load_circuit(dump_circuit(c), device=line(3))
+
+
+class TestPinnedQasm:
+    # Lowering order and angle text decide the QASM bytes; this digest of
+    # the QASM of a fixed corpus catches any change to either.  Update it
+    # only for a change that means to emit different text, and say which.
+    DIGEST = "a119fbafe2f0195b04dfa923ad791b69101ce88c0690fcd4f47537868798a55f"
+
+    @staticmethod
+    def corpus():
+        for n in range(2, 21):
+            for seed in range(4):
+                yield random_cactus(n, seed)
+        yield fig3_cactus()
+
+    def test_qasm_matches_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for g in self.corpus():
+            for c in _synthesized(g):
+                digest.update(to_qasm(c).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -1,15 +1,19 @@
 """CLI tests: subcommand outputs, bundled family resolution, exit
-codes, determinism, and the emitted-circuit round trip."""
+codes, determinism, the emitted-circuit round trip, and an in-process
+fuzz over malformed graphs and out-of-range parameters."""
 
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from cactusq.circuit_ir import cnot_cost, load_circuit
+from cactusq.cli import main
 from cactusq.families import fig3_cactus
-from cactusq.graph_core import dump_graph, load_graph
+from cactusq.graph_core import dump_graph, graph_to_json_dict, load_graph, random_cactus
 
 
 def run_cli(*args, expect_code=0):
@@ -155,3 +159,90 @@ class TestCostAndGen:
         proc = run_cli(*args, expect_code=1)
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {message}\n"
+
+
+# Graph inputs for the fuzz: a small valid cactus, one broken at a random
+# point, or a bundled family with n <= 2.  Each is (file text, family name);
+# exactly one is set.
+_VALID = st.builds(
+    lambda n, seed: graph_to_json_dict(random_cactus(n, seed)),
+    st.integers(1, 6), st.integers(0, 50),
+)
+
+
+def _break(data: dict, how: str, i: int) -> object:
+    n = data["n"]
+    edges = data["edges"]
+    return {
+        "self_loop": {"n": n, "edges": edges + [[i % n, i % n]]},
+        "out_of_range": {"n": n, "edges": edges + [[i % n, n + i % 3]]},
+        "negative": {"n": n, "edges": edges + [[-1 - i % 2, 0]]},
+        "small_n": {"n": i % 4 - 1, "edges": edges if i % 2 else []},
+        "n_type": {"n": [str(n), float(n), None, True][i % 4], "edges": edges},
+        "edges_type": {"n": n, "edges": [{}, "0-1", 5, None][i % 4]},
+        "edge_type": {"n": n, "edges": edges + [[[0], [0, "1"], [0, 1.0], [True, 0], 7][i % 5]]},
+        "keys": [{"n": n}, {"edges": edges}, {**data, "extra": 1}][i % 3],
+        "not_object": [[n, edges], n, "graph", None][i % 4],
+        "dense": {"n": 4, "edges": [[a, b] for a in range(4) for b in range(a + 1, 4)]},
+        "disconnected": {"n": n + 1, "edges": edges},
+    }[how]
+
+
+_GRAPHS = st.one_of(
+    # valid graphs twice, so that jobs also get past the parser
+    _VALID.map(lambda d: (json.dumps(d), None)),
+    _VALID.map(lambda d: (json.dumps(d), None)),
+    st.builds(lambda d, cut: (json.dumps(d)[:cut], None), _VALID, st.integers(0, 40)),
+    st.builds(
+        lambda d, how, i: (json.dumps(_break(d, how, i)), None),
+        _VALID,
+        st.sampled_from(["self_loop", "out_of_range", "negative", "small_n", "n_type",
+                         "edges_type", "edge_type", "keys", "not_object", "dense",
+                         "disconnected"]),
+        st.integers(0, 59),
+    ),
+    st.sampled_from(["line0", "line1", "line2", "star1", "star2", "k0", "k1", "k2",
+                     "cycle1", "cycle2", "chain4x0"]).map(lambda name: (None, name)),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        graph=_GRAPHS,
+        command=st.sampled_from(["path", "hash", "qft", "cost"]),
+        # each range, and half the time its valid part, so jobs also succeed
+        p=st.integers(-2, 40) | st.integers(2, 40),
+        epsilon=st.floats(-1, 1) | st.floats(0.01, 0.49),
+        l=st.integers(-2, 4) | st.integers(1, 4),
+    )
+    # found by this test: qft on two unjoined vertices ended in an internal
+    # error, and a subnormal epsilon overflowed the fingerprint count
+    @example(graph=('{"n": 2, "edges": []}', None), command="qft", p=5, epsilon=0.25, l=1)
+    @example(graph=(None, "line2"), command="hash", p=2, epsilon=2.2e-309, l=1)
+    def test_exit_zero_or_one_line_error(self, tmp_path_factory, capsys,
+                                         graph, command, p, epsilon, l):
+        text, family = graph
+        spec = family
+        if text is not None:
+            spec = str(tmp_path_factory.getbasetemp() / "fuzz_graph.json")
+            with open(spec, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        args = [command, "--graph", spec]
+        if command in ("hash", "cost"):
+            args += [f"--l={l}", f"--p={p}", f"--epsilon={epsilon!r}"]
+        capsys.readouterr()
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        event(f"{command} exit {code}")
+        assert code in (0, 1), (args, text, err)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1 \
+                and err.endswith("\n"), (args, text, err)
