@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .graph_core import (
     BlockTree,
@@ -163,6 +164,14 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # neighbours' cached contributions; the first strict minimum in block
 # order wins, and its own record rebuilds the walk.
 #
+# A step reads per-block arrays kept up to date as contributions arrive:
+# their closed costs summed, and at each position the two children with
+# the best savings (None where no neighbour attaches).  Leaving out `up`
+# touches only its own position, the pivot, which no arm reads.  A cycle step scores candidates
+# as integers, keeps the first minimum per count of free ends and builds
+# records for those alone.  A push asks for 0 and 1 free ends; a cycle
+# root runs the step once per pivot over the same arrays, asking for 2.
+#
 # Every record has one shape, (pivot, mode, end1, end2).  The mode is
 # ("vertex",), ("perim",) (once around the cycle) or ("chain", j, a, b)
 # (cycle edge j left unwalked, arms walked to depths a and b).  An end is
@@ -185,7 +194,7 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ChildContribution:
     """Summary of one neighbouring subtree as seen from its attach vertex.
 
@@ -228,22 +237,16 @@ def _record(pivot: int, mode, top: list, ends: int):
     return pivot, mode, top[0][1], top[1][1] if len(top) > 1 else None
 
 
-def dp_single_vertex(children: list[ChildContribution], ends: int = 1):
-    """DP step for a single-vertex block: sum of child round trips, minus
-    the best savings of walk ends inside up to `ends` children.  Returns
-    [(value, record)] for 0..ends free ends."""
-    value = 0
-    options = []
-    for c in children:
-        if not c.skipped:
-            value += c.closed_cost
-            if c.saving > 0:
-                options.append((c.saving, ("child", c.block)))
-    top = _top_ends(options, ends)
+def dp_single_vertex(closed: int, top: list, ends: tuple[int, ...]):
+    """DP step for a single-vertex block whose children's round trips sum
+    to `closed`; `top` lists the largest positive savings of ending the
+    walk inside a child, as (saving, end), largest first.  Returns
+    [(value, record)] for each free-end count in `ends`."""
     out = []
-    for e in range(ends + 1):
-        if 0 < e <= len(top):
-            value -= top[e - 1][0]
+    for e in ends:
+        value = closed
+        for saving, _ in top[:e]:
+            value -= saving
         out.append((value, _record(0, ("vertex",), top, e)))
     return out
 
@@ -264,99 +267,109 @@ def _arm_positions(t: int, entry: int, removal: int) -> tuple[list[int], list[in
     return right, left
 
 
-def _arm_depth_options(m: int, req: int) -> range:
-    lo = max(req, m - 2, 0)
-    return range(lo, m + 1)
+def _arm_table(top_at: list, back: int):
+    """Per depth d = 0..len(top_at) of the arm that visits these positions
+    in order: the saving of the best end of walk within depth d, where
+    that end leaves the arm (None at the tip, else (depth i, child)), and
+    the depth of the deepest vertex within d that must be visited (one
+    with neighbours, top_at not None).
 
-
-def _depths_valid(a: int, m_a: int, b: int, m_b: int) -> bool:
-    ok_a = a >= m_a - 1 or b == m_b
-    ok_b = b >= m_b - 1 or a == m_a
-    return ok_a and ok_b
-
-
-def _arm_table(name: str, seq: list[int], kids, required, back: int):
-    """Per depth d = 0..len(seq) of the arm that follows `seq` out of the
-    pivot: the best end-of-walk option, as (saving, (name, i, child)) (None
-    at d = 0), and the depth of the deepest vertex within d that must be
-    visited.
-
-    i is the depth of the vertex the final descent leaves the arm at (i ==
-    d, child None means stopping at the tip); ending there saves i steps
-    back of weight `back`.  A tie goes to the tip, then to the shallower
-    vertex, then to the earlier child.
+    Ending at depth i saves i steps back of weight `back`, plus the
+    child's saving when the walk ends inside one.  A tie goes to the tip,
+    then to the shallower vertex, then to the earlier child.
     """
-    ends, deepest = [None], [0]
-    best = None  # first best child option so far: (saving, i, child)
-    for d, p in enumerate(seq, 1):
-        for c in kids[p]:
-            if best is None or d * back + c.saving > best[0]:
-                best = (d * back + c.saving, d, c.block)
-        if best is not None and best[0] > d * back:
-            ends.append((best[0], (name, best[1], best[2])))
-        else:
-            ends.append((d * back, (name, d, None)))
-        deepest.append(d if required[p] else deepest[-1])
-    return ends, deepest
+    saving, src, deep = [0], [None], [0]
+    best, best_src, tip = -1, None, 0
+    for d, top in enumerate(top_at, 1):
+        tip += back
+        if top and tip + top[0].saving > best:
+            best, best_src = tip + top[0].saving, (d, top[0].block)
+        saving.append(best if best > tip else tip)
+        src.append(best_src if best > tip else None)
+        deep.append(deep[-1] if top is None else d)
+    return saving, src, deep
 
 
-def dp_cycle(t: int, weights: list[int], entry: int,
-             vertex_children: dict[int, list[ChildContribution]], unit: int,
-             ends: int = 1):
+def _arm_end(name: str, saving: list, src: list, d: int):
+    """The (saving, end) option of an arm walked to depth d, from its table."""
+    if d == 0:
+        return None
+    return saving[d], (name, d, None) if src[d] is None else (name, *src[d])
+
+
+# (right, left) arm depths short of the arm lengths, in candidate order
+# (right depth ascending, then left); the shorter arm may stop one vertex
+# early only when the other walks its whole length
+_SHORTFALLS = ((2, 0), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
+
+
+def dp_cycle(top_at: list, perim: int, closed: int, entry: int, at_entry: list,
+             unit: int, ends: tuple[int, ...]):
     """DP step for a cycle block with its pivot at position `entry`.
 
+    `top_at[p]` lists the children at position p with the best savings,
+    largest first, or is None when p has no neighbours; `closed` is the
+    children's round trips and `perim` the walk once around the cycle.
+    `at_entry` holds the walk-end options (saving, end) at the pivot, less
+    the neighbour the block is seen from.
     Candidates: walk the full perimeter, or pick one cycle edge to leave
     unwalked and treat the rest as a chain with two arms (the walk may
     stop one or two vertices short of an arm tip when adjacency still
     covers the rest).  Each arm holds at most one free end and the pivot's
     children the rest.  Values are folded with `unit` (see above).
-    Returns [(value, record)] for 0..ends free ends, each the first strict
-    minimum in candidate order.
+    Returns [(value, record)] for each free-end count in `ends`, each the
+    first strict minimum in candidate order.
     """
-    kids = {
-        p: [c for c in vertex_children.get(p, []) if not c.skipped]
-        for p in range(t)
-    }
-    required = {
-        p: bool(vertex_children.get(p)) for p in range(t)
-    }
-    s_total = sum(c.closed_cost for cs in kids.values() for c in cs)
-    # once around: one revisit, the step back onto the entry
-    perim = s_total + unit * sum(weights) + 1
+    t = len(top_at)
     back = unit + 1
-    at_entry = _top_ends([(c.saving, ("child", c.block)) for c in kids[entry]], ends)
-    # every right arm is a prefix of the clockwise sequence, every left arm
-    # of the counter-clockwise one
-    ends_r, deep_r = _arm_table("armR", [(entry + i) % t for i in range(1, t)],
-                                kids, required, back)
-    ends_l, deep_l = _arm_table("armL", [(entry - i) % t for i in range(1, t)],
-                                kids, required, back)
-
-    best: list = [None] * (ends + 1)
-
-    def consider(closed: int, mode, top: list) -> None:
-        value = closed
-        for e in range(ends + 1):
-            if 0 < e <= len(top):
-                value -= top[e - 1][0]
-            if best[e] is None or value < best[e][0]:
-                best[e] = (value, _record(entry, mode, top, e))
-
-    consider(perim, ("perim",), at_entry)
+    step = unit + back
+    # every right arm is a prefix of the clockwise sequence from the pivot,
+    # every left arm of the counter-clockwise one
+    before, after = top_at[:entry], top_at[entry + 1:]
+    sav_r, src_r, deep_r = _arm_table(after + before, back)
+    sav_l, src_l, deep_l = _arm_table(before[::-1] + after[::-1], back)
+    e0 = at_entry[0][0] if at_entry else 0
+    e1 = at_entry[1][0] if len(at_entry) > 1 else 0
+    # the first minimum for 0, 1 and 2 free ends: value and (j, a, b),
+    # with j None for the perimeter
+    v0 = perim + closed
+    v1, v2 = v0 - e0, v0 - e0 - e1
+    w0 = w1 = w2 = (None, 0, 0)
     for j in range(t):
         # edge (j, j + 1) unwalked: arm lengths as in _arm_positions
         m_r = (j - entry) % t
         m_l = t - 1 - m_r
-        for a in _arm_depth_options(m_r, deep_r[m_r]):
-            for b in _arm_depth_options(m_l, deep_l[m_l]):
-                if _depths_valid(a, m_r, b, m_l):
-                    consider(s_total + (a + b) * (unit + back), ("chain", j, a, b),
-                             _top_ends([ends_r[a], ends_l[b]] + at_entry, ends))
-    return best
+        free_r, free_l = m_r - deep_r[m_r], m_l - deep_l[m_l]
+        for short_r, short_l in _SHORTFALLS:
+            if short_r > free_r or short_l > free_l:
+                continue
+            a, b = m_r - short_r, m_l - short_l
+            value = closed + (a + b) * step
+            if value < v0:
+                v0, w0 = value, (j, a, b)
+            hi, lo = sav_r[a], sav_l[b]
+            if lo > hi:
+                hi, lo = lo, hi
+            top1 = hi if hi > e0 else e0
+            if value - top1 < v1:
+                v1, w1 = value - top1, (j, a, b)
+            # the two largest of hi, lo, e0 and e1, knowing e0 >= e1
+            top2 = hi + (lo if lo >= e0 else e0) if hi >= e0 else e0 + (hi if hi > e1 else e1)
+            if value - top2 < v2:
+                v2, w2 = value - top2, (j, a, b)
+    out = []
+    for e in ends:
+        value, (j, a, b) = ((v0, w0), (v1, w1), (v2, w2))[e]
+        if j is None:
+            out.append((value, _record(entry, ("perim",), at_entry, e)))
+        else:
+            arms = [_arm_end("armR", sav_r, src_r, a), _arm_end("armL", sav_l, src_l, b)]
+            out.append((value, _record(entry, ("chain", j, a, b),
+                                       _top_ends(arms + at_entry, e), e)))
+    return out
 
 
-def _order_key(c: ChildContribution) -> tuple[int, int]:
-    return c.entry, c.block
+_order_key = attrgetter("entry", "block")
 
 
 class _Rerooted:
@@ -371,20 +384,25 @@ class _Rerooted:
         # choice[b][towards]: records of b seen from its neighbour `towards`,
         # indexed by free ends (0 or 1)
         self.choice: list[dict[int, tuple]] = [{} for _ in bt.blocks]
+        # what the step of each block reads of its neighbours' contributions,
+        # kept up to date as they arrive: closed[b], the sum of their closed
+        # costs, and top_at[b][p], the two with the best positive savings at
+        # position p, in _top_ends order (None while p has no neighbour)
+        self.closed = [0] * len(bt.blocks)
+        self.top_at: list[list] = [[None] * len(verts) for _, verts in bt.blocks]
         # bridge[b][other]: (weight, own attach vertex, its position in b)
         self.bridge: list[dict[int, tuple[int, int, int]]] = []
-        self.weights: dict[int, list[int]] = {}
+        self.perim: dict[int, int] = {}
         for b, (kind, verts) in enumerate(bt.blocks):
             pos = {v: i for i, v in enumerate(verts)}
             self.bridge.append({other: (w, own, pos[own])
                                 for other, w, own, _theirs in bt.tree[b]})
             if kind == "cycle":
                 t = len(verts)
-                self.weights[b] = [
-                    next(wt for nb, wt in tvc.adjacency[verts[i]]
-                         if nb == verts[(i + 1) % t])
-                    for i in range(t)
-                ]
+                weight = sum(next(wt for nb, wt in tvc.adjacency[verts[i]]
+                                  if nb == verts[(i + 1) % t]) for i in range(t))
+                # once around: one revisit, the step back onto the pivot
+                self.perim[b] = self.unit * weight + 1
         parent = {start: -1}
         order = [start]
         for b in order:
@@ -393,59 +411,74 @@ class _Rerooted:
                     parent[other] = b
                     order.append(other)
         for b in reversed(order[1:]):
-            self.into[b].sort(key=_order_key)
             self._push(b, parent[b])
         for b in order:
-            self.into[b].sort(key=_order_key)
-            for other in self.bridge[b]:
-                if parent[other] == b:
-                    self._push(b, other)
+            for c in self.into[b]:
+                if c.block != parent[b]:
+                    self._push(b, c.block, c)
+        for into in self.into:
+            if len(into) > 1:
+                into.sort(key=_order_key)
 
-    def _kids(self, b: int, up: int | None) -> list[ChildContribution]:
-        if up is None:
-            return self.into[b]
-        return [c for c in self.into[b] if c.block != up]
-
-    def _by_position(self, b: int, kids) -> dict[int, list[ChildContribution]]:
+    def _by_position(self, b: int, up: int | None) -> dict[int, list[ChildContribution]]:
+        """The neighbours of b other than `up` that must be entered, by
+        attach position."""
         out: dict[int, list[ChildContribution]] = {}
-        for c in kids:
-            out.setdefault(self.bridge[b][c.block][2], []).append(c)
+        for c in self.into[b]:
+            if c.block != up and not c.skipped:
+                out.setdefault(self.bridge[b][c.block][2], []).append(c)
         return out
 
-    def _step(self, b: int, up: int | None, pivot: int, ends: int):
-        """The DP step of block b without its neighbour `up` (None for a
-        root), pivot at position `pivot`."""
-        kind, verts = self.bt.blocks[b]
-        kids = self._kids(b, up)
-        if kind == "vertex":
-            return dp_single_vertex(kids, ends)
-        return dp_cycle(len(verts), self.weights[b], pivot,
-                        self._by_position(b, kids), self.unit, ends)
+    def _step(self, b: int, seen, pivot: int, ends: tuple[int, ...]):
+        """The DP step of block b with pivot at position `pivot`, leaving
+        out `seen`, the contribution of the neighbour attached there (None
+        for a root, or before that neighbour has handed b its part)."""
+        closed, top_at = self.closed[b], self.top_at[b]
+        if seen is not None and not seen.skipped:
+            closed -= seen.closed_cost
+        at_pivot = [(c.saving, ("child", c.block))
+                    for c in top_at[pivot] or () if c is not seen]
+        if self.bt.blocks[b][0] == "vertex":
+            return dp_single_vertex(closed, at_pivot, ends)
+        return dp_cycle(top_at, self.perim[b], closed, pivot, at_pivot, self.unit, ends)
 
-    def _push(self, b: int, towards: int) -> None:
+    def _push(self, b: int, towards: int, seen=None) -> None:
         """Block b seen across its bridge to `towards`, handed to `towards`
-        as a child contribution."""
+        as a child contribution; `seen` is what `towards` handed b."""
         w, own, e_pos = self.bridge[b][towards]
-        (d_l, closed), (d_p, open_) = self._step(b, towards, e_pos, 1)
+        (d_l, closed), (d_p, open_) = self._step(b, seen, e_pos, (0, 1))
         self.choice[b][towards] = (closed, open_)
         out, back = self.unit, self.unit + 1
-        self.into[towards].append(
-            ChildContribution(
-                block=b,
-                entry=own,
-                # over the bridge onto a new vertex, back as a revisit
-                closed_cost=d_l + w * (out + back),
-                saving=d_l - d_p + w * back,
-                skipped=self.bt.blocks[b][0] == "vertex" and len(self.bridge[b]) == 1,
-            )
+        c = ChildContribution(
+            block=b,
+            entry=own,
+            # over the bridge onto a new vertex, back as a revisit
+            closed_cost=d_l + w * (out + back),
+            saving=d_l - d_p + w * back,
+            skipped=self.bt.blocks[b][0] == "vertex" and len(self.bridge[b]) == 1,
         )
+        self.into[towards].append(c)
+        tops = self.top_at[towards]
+        p = self.bridge[towards][b][2]
+        top = tops[p] = tops[p] or []
+        if c.skipped:
+            return
+        self.closed[towards] += c.closed_cost
+        # largest saving first; a tie goes to the earlier in _order_key order
+        i = len(top)
+        while i and (c.saving > top[i - 1].saving or c.saving == top[i - 1].saving
+                     and _order_key(c) < _order_key(top[i - 1])):
+            i -= 1
+        if i < 2 and c.saving > 0:
+            top.insert(i, c)
+            del top[2:]
 
     def root_walk(self, r: int):
         """Minimum open-walk value with block r as root and both ends free,
         plus its record: the first strict minimum in pivot order."""
         best = None
         for pivot in range(len(self.bt.blocks[r][1])):
-            value, record = self._step(r, None, pivot, 2)[2]
+            (value, record), = self._step(r, None, pivot, (2,))
             if best is None or value < best[0]:
                 best = (value, record)
         return best
@@ -474,7 +507,7 @@ class _Rerooted:
         items: list = []
         vtx = self.bt.blocks[b][1][p]
         for c in pos_kids.get(p, []):
-            if not c.skipped and c.block not in omit:
+            if c.block not in omit:
                 items += [(0, c.block, b), vtx]
         return items
 
@@ -510,7 +543,7 @@ class _Rerooted:
         as (head, rest): head runs from the pivot out to end1, rest from
         the pivot on to end2, so the walk is head reversed, then rest."""
         verts = self.bt.blocks[b][1]
-        pos_kids = self._by_position(b, self._kids(b, up))
+        pos_kids = self._by_position(b, up)
         p, mode, *ends = record
         at_pivot = [e[1] for e in ends if e is not None and e[0] == "child"]
         arms = {}
@@ -555,10 +588,12 @@ def solve_root_choices(tvc: WeightedVertexCactus, bt: BlockTree):
 def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
     total = 0
     for a, b in zip(walk, walk[1:]):
-        w = next((wt for nb, wt in tvc.adjacency[a] if nb == b), None)
-        if w is None:
+        for nb, wt in tvc.adjacency[a]:
+            if nb == b:
+                total += wt
+                break
+        else:
             raise AssertionError(f"walk step ({a},{b}) is not an edge of T")
-        total += w
     return total
 
 

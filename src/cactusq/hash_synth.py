@@ -104,8 +104,11 @@ def _angle_of(angles, g: Graph, target: int):
 
 
 def construct_for_path(g: Graph, path, angles, direction: str = "forward",
-                       lead_control: int | None = None) -> Circuit:
-    """One application of the hashing operator along a covering path.
+                       lead_control: int | None = None,
+                       circuit: Circuit | None = None) -> Circuit:
+    """One application of the hashing operator along a covering path,
+    appended to `circuit` (a new circuit on device g when None), which is
+    returned.
 
     Emits, walking the path: a CRy from each not-yet-used neighbor that is
     not a path vertex, then a CRy+SWAP moving the target one step (bare
@@ -114,7 +117,8 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
     order.  The rotations fired at one vertex commute, so `lead_control`
     (when present in the opening batch) is moved to the front; repeated
     applications use it to start on the control the previous application
-    ended with, making the boundary pair mergeable.
+    ended with, and an opening CRy on the pair `circuit` ends with merges
+    into that gate.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
@@ -125,7 +129,7 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
     start = verts[0]
     ang = _angle_of(angles, g, start)
     descending = direction == "reverse"
-    c = Circuit(g.n, device=g)
+    gates: list[Gate] = []
     used: set[int] = set()
     opening = [True]
 
@@ -138,42 +142,35 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
                 nbrs.remove(lead_control)
                 nbrs.insert(0, lead_control)
         for u in nbrs:
-            c.cry(u, at, ang(u))
+            gates.append(Gate("CRy", (u, at), theta=ang(u)))
             used.add(u)
 
     for j in range(len(verts) - 1):
         cur, nxt = verts[j], verts[j + 1]
         fire_neighbors(cur)
         if nxt not in used:
-            c.cry(nxt, cur, ang(nxt))
+            gates.append(Gate("CRy", (nxt, cur), theta=ang(nxt)))
             used.add(nxt)
-        c.swap(cur, nxt)
+        gates.append(Gate("SWAP", (cur, nxt)))
     fire_neighbors(verts[-1])
+    c = Circuit(g.n, device=g) if circuit is None else circuit
+    last = c.gates[-1] if c.gates else None
+    if (last is not None and gates and last.kind == gates[0].kind == "CRy"
+            and last.qubits == gates[0].qubits):
+        # a rotation moves no qubit, so replacing it keeps the layout
+        c.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
+        gates = gates[1:]
+    c.extend(gates)
     missed = set(range(g.n)) - used - {start}
     if missed:
         raise PathNotCovering(f"vertices never reached as controls: {sorted(missed)}")
     return c
 
 
-def _merge_boundary(gates: list[Gate], incoming: list[Gate]) -> None:
-    """Append an application to `gates` in place, merging the shared
-    boundary CRy pair."""
-    if (
-        gates
-        and incoming
-        and gates[-1].kind == "CRy"
-        and incoming[0].kind == "CRy"
-        and gates[-1].qubits == incoming[0].qubits
-    ):
-        gates[-1] = Gate(
-            "CRy", gates[-1].qubits, theta=gates[-1].theta + incoming[0].theta
-        )
-        incoming = incoming[1:]
-    gates.extend(incoming)
-
-
-def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int) -> list[Gate]:
-    """Alternate forward/reverse applications with boundary merges.
+def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int,
+                       circuit: Circuit) -> None:
+    """Append l applications to `circuit`, alternating forward/reverse, with
+    boundary merges.
 
     Angles attach to logical qubits, and the SWAPs shift logical qubits
     along the path, so each application's per-vertex angle table is built
@@ -181,17 +178,15 @@ def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int) -> lis
     before the walk first disturbs its vertex, so that table is exact).
     """
     occ = list(range(g.n))  # occ[u] = logical qubit currently at vertex u
-    gates: list[Gate] = []
     for i in range(l):
         direction = "forward" if i % 2 == 0 else "reverse"
         verts = path.vertices if direction == "forward" else path.vertices[::-1]
         angle_map = {u: per_logical(occ[u]) for u in range(g.n) if u != verts[0]}
-        lead = gates[-1].qubits[0] if gates and gates[-1].kind == "CRy" else None
-        app = construct_for_path(g, path, angle_map, direction, lead_control=lead)
-        _merge_boundary(gates, app.gates)
+        last = circuit.gates[-1] if circuit.gates else None
+        lead = last.qubits[0] if last is not None and last.kind == "CRy" else None
+        construct_for_path(g, path, angle_map, direction, lead_control=lead, circuit=circuit)
         for cur, nxt in zip(verts, verts[1:]):
             occ[cur], occ[nxt] = occ[nxt], occ[cur]
-    return gates
 
 
 def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult:
@@ -203,7 +198,7 @@ def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult
     path = solve_cactus(g)
     per_logical = _angle_of(params.angles, g, path.vertices[0])
     circuit = Circuit(g.n, device=g)
-    circuit.extend(_fold_applications(g, path, per_logical, l))
+    _fold_applications(g, path, per_logical, l, circuit)
     cost = CostReport(
         cnot_count=cnot_cost(circuit),
         formula_value=theorem1_cost(g.n, path.k, path.k_distinct, l),
@@ -286,7 +281,7 @@ def build_modp_automaton(g: Graph, l: int, params: HashParams) -> Circuit:
         circuit.h(v)
     if l > 0:
         per_logical = _angle_of(params.angles, g, target)
-        circuit.extend(_fold_applications(g, path, per_logical, l))
+        _fold_applications(g, path, per_logical, l, circuit)
     final = circuit.final_permutation
     for v in controls:
         circuit.h(final[v])

@@ -206,12 +206,33 @@ _GRAPHS = st.one_of(
 )
 
 
+def _run_fuzzed(capsys, args, text=None):
+    """Run the CLI in-process: it must exit 0 with JSON on stdout, or exit
+    1 with exactly one `error:` line and no traceback."""
+    capsys.readouterr()
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    event(f"{args[0]} exit {code}")
+    assert code in (0, 1), (args, text, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 \
+            and err.endswith("\n"), (args, text, err)
+
+
 class TestFuzz:
-    @settings(max_examples=150, deadline=None,
+    @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         graph=_GRAPHS,
-        command=st.sampled_from(["path", "hash", "qft", "cost"]),
+        # verify simulates densely; every graph drawn here has n <= 7
+        command=st.sampled_from(["path", "hash", "qft", "cost", "verify"]),
+        what=st.sampled_from(["qft", "hash"]),
         # each range, and half the time its valid part, so jobs also succeed
         p=st.integers(-2, 40) | st.integers(2, 40),
         epsilon=st.floats(-1, 1) | st.floats(0.01, 0.49),
@@ -219,10 +240,11 @@ class TestFuzz:
     )
     # found by this test: qft on two unjoined vertices ended in an internal
     # error, and a subnormal epsilon overflowed the fingerprint count
-    @example(graph=('{"n": 2, "edges": []}', None), command="qft", p=5, epsilon=0.25, l=1)
-    @example(graph=(None, "line2"), command="hash", p=2, epsilon=2.2e-309, l=1)
+    @example(graph=('{"n": 2, "edges": []}', None), command="qft", what="qft",
+             p=5, epsilon=0.25, l=1)
+    @example(graph=(None, "line2"), command="hash", what="qft", p=2, epsilon=2.2e-309, l=1)
     def test_exit_zero_or_one_line_error(self, tmp_path_factory, capsys,
-                                         graph, command, p, epsilon, l):
+                                         graph, command, what, p, epsilon, l):
         text, family = graph
         spec = family
         if text is not None:
@@ -230,19 +252,14 @@ class TestFuzz:
             with open(spec, "w", encoding="utf-8") as fh:
                 fh.write(text)
         args = [command, "--graph", spec]
-        if command in ("hash", "cost"):
+        if command == "verify":
+            args += ["--what", what]
+        if command in ("hash", "cost") or command == "verify" and what == "hash":
             args += [f"--l={l}", f"--p={p}", f"--epsilon={epsilon!r}"]
-        capsys.readouterr()
-        try:
-            code = main(args)
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
-        event(f"{command} exit {code}")
-        assert code in (0, 1), (args, text, err)
-        assert "Traceback" not in err
-        if code == 0:
-            json.loads(out)
-        else:
-            assert err.startswith("error: ") and err.count("\n") == 1 \
-                and err.endswith("\n"), (args, text, err)
+        _run_fuzzed(capsys, args, text)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(-3, 40), seed=st.integers(-10**12, 10**12))
+    def test_gen_exit_zero_or_one_line_error(self, capsys, n, seed):
+        _run_fuzzed(capsys, ["gen", f"--n={n}", f"--seed={seed}"])

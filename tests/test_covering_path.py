@@ -1,10 +1,11 @@
 """Covering-path solver tests: the brute-force oracles, hand-worked
-family values, solver-vs-oracle equality on random cacti and on hard
-families, the 2n-3 length bound, the tie-break towards the fewest
-revisits, block trees deeper than the recursion limit, and a digest that
-pins every walk of a fixed corpus."""
+family values, solver-vs-oracle equality on random cacti, on hard
+families and on single large cycles, the 2n-3 length bound, the
+tie-break towards the fewest revisits, block trees deeper than the
+recursion limit, and digests that pin every walk of two fixed corpora."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,15 @@ def flower(petals, size):
         ring = [0] + [1 + p * (size - 1) + i for i in range(size - 1)]
         edges += list(zip(ring, ring[1:] + ring[:1]))
     return Graph.from_edges(1 + petals * (size - 1), edges)
+
+
+def cycle_with_subtrees(t, extra, seed):
+    """A t-cycle with `extra` more vertices hung off it as random trees:
+    each new vertex joins a random earlier one."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % t) for i in range(t)]
+    edges += [(rng.randrange(v), v) for v in range(t, t + extra)]
+    return Graph.from_edges(t + extra, edges)
 
 
 class TestCoveringPathType:
@@ -192,6 +202,21 @@ class TestSolverOnHardFamilies:
         assert ours.k - ours.k_distinct == fewest_revisits(g, ours.k)
 
 
+class TestSolverOnOneBigCycle:
+    # cycles of 7..12 vertices with trees hanging off them: arms long
+    # enough that every arm depth and walk-end option of a cycle block is
+    # in play, which random_cactus (cycles of at most 6) never reaches
+    @pytest.mark.parametrize("t", range(7, 13))
+    def test_matches_oracle_with_fewest_revisits(self, t):
+        for extra in range(1, 15 - t):
+            for seed in range(10):
+                g = cycle_with_subtrees(t, extra, seed)
+                ours = solve_cactus(g)
+                assert ours.is_covering(g)
+                assert ours.k == brute_force_oracle(g).k, (t, extra, seed)
+                assert ours.k - ours.k_distinct == fewest_revisits(g, ours.k), (t, extra, seed)
+
+
 class TestRerooting:
     # each bridge direction is evaluated once, by the bottom-up pass or by
     # the top-down one depending on where the passes start; the values,
@@ -254,6 +279,11 @@ class TestPinnedWalks:
     # means to pick different walks, and say which walks changed.
     DIGEST = "dbe350afad5ce36a9b0d2be2208c2be50a007a4aaac77fa614896ac7144d4ab2"
 
+    # cycle blocks of 7 or more vertices with children, as cycle roots and
+    # as bridge steps; the first corpus reaches none (random_cactus draws
+    # cycles of at most 6, and a bare cycle takes the single-cycle case)
+    LARGE_CYCLE_DIGEST = "d98c9f1db8abafdb0eba72311fcee5a46440fb9ef6c8b8705511343d7a4c3664"
+
     @staticmethod
     def corpus():
         for n in range(2, 41):
@@ -271,8 +301,27 @@ class TestPinnedWalks:
             yield chain_of_squares(t)
         yield fig3_cactus()
 
-    def test_walks_match_the_pinned_digest(self):
+    @staticmethod
+    def large_cycle_corpus():
+        for t in range(7, 41):
+            yield cycle_with_pendants(t)
+        for petals in range(3, 9):
+            for size in range(5, 10):
+                yield flower(petals, size)
+        for t in range(7, 31):
+            for extra in (1, 2, 4, t // 2, t):
+                for seed in range(4):
+                    yield cycle_with_subtrees(t, extra, seed)
+
+    @staticmethod
+    def digest(graphs):
         digest = hashlib.sha256()
-        for g in self.corpus():
+        for g in graphs:
             digest.update(f"{solve_cactus(g).vertices}\n".encode())
-        assert digest.hexdigest() == self.DIGEST
+        return digest.hexdigest()
+
+    def test_walks_match_the_pinned_digest(self):
+        assert self.digest(self.corpus()) == self.DIGEST
+
+    def test_large_cycle_walks_match_the_pinned_digest(self):
+        assert self.digest(self.large_cycle_corpus()) == self.LARGE_CYCLE_DIGEST
