@@ -5,8 +5,8 @@ l-fold hashing operator), `qft` (synthesize the QFT circuit), `verify`
 (simulate and compare against the unconstrained reference), `cost`
 (print all formula checks without emitting circuits), and `gen` (write a
 seeded random cactus).  Machine-readable JSON goes to stdout, diagnostics
-to stderr.  Exit codes: 0 success, 1 validation error, 2 internal
-assertion failure.
+to stderr.  Exit codes: 0 success, 1 validation or usage error (one
+`error:` line), 2 internal assertion failure.
 
 `--graph` accepts a JSON file ({"n": int, "edges": [[u, v], ...]}) or,
 when no such file exists, a bundled family name: fig3, lineN, cycleN,
@@ -69,6 +69,13 @@ _VALIDATION_ERRORS = (
     ValueError,
     OSError,
 )
+
+# `gen` keeps every edge in memory before writing any, so a mistyped --n
+# would run until memory ran out; 10^5 vertices generate in well under 1 s
+MAX_GEN_VERTICES = 100_000
+
+# click >= 8.2 raises this for a bare `cactusq`; its message is the help text
+_NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 _FAMILY_PATTERNS = [
     (re.compile(r"^fig3$"), lambda m: families.fig3_cactus()),
@@ -160,6 +167,8 @@ def gen_cmd(n: int, seed: int, out: str | None) -> None:
     """Generate a seeded random cactus as graph JSON."""
     if n < 1:
         raise ValueError("--n must be at least 1")
+    if n > MAX_GEN_VERTICES:
+        raise ValueError(f"--n must be at most {MAX_GEN_VERTICES}")
     g = random_cactus(n, seed)
     _print_json(graph_to_json_dict(g), out)
 
@@ -358,8 +367,12 @@ def cost_cmd(graph_spec, l, p, epsilon) -> None:
 def main(argv=None):
     try:
         cli(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
+    except _NO_ARGS_IS_HELP as exc:
         exc.show()
+        sys.exit(1)
+    except click.ClickException as exc:
+        # usage errors included: one `error:` line, not click's Usage block
+        click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(1)
     except click.Abort:
         sys.exit(1)

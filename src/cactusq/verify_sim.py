@@ -7,6 +7,17 @@ acceptance probability with its closed form.
 
 Convention: qubit 0 is the least-significant bit of basis-state indices,
 so basis index sum(b_q << q) has qubit q's bit at weight 2^q.
+
+Gates are applied in place to one tensor of shape (2,)*n (a unitary adds
+a trailing column axis), and no gate is ever expanded to the full space.
+A SWAP moves no data: it exchanges two entries of the map from qubits to
+tensor axes, and one `moveaxis` at the end restores the axis order.  A
+controlled gate acts only on the view where its control axis reads 1,
+and applies there its target core, the lower-right 2x2 block of
+`gate_matrix`.  A one-qubit core on the two slices of its target axis
+scales them in place when it is diagonal (Rz, Rk, CRd's phase), swaps
+them when it is anti-diagonal (X), and mixes them through one temporary
+otherwise (H, Ry).
 """
 
 from __future__ import annotations
@@ -60,14 +71,61 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise AssertionError(f"unhandled gate kind {k}")
 
 
-def _apply(tensor: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Apply a 1- or 2-qubit unitary to the given qubit axes of a state
-    tensor shaped (2,)*n (+ optional trailing axes)."""
-    k = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    ut = u.reshape((2,) * (2 * k))
-    tensor = np.tensordot(ut, tensor, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(tensor, list(range(k)), axes)
+def _half(axis: int, bit: int, control: int | None) -> tuple:
+    """Index of the view where tensor axis `axis` reads `bit` (and axis
+    `control`, if given, reads 1).  The closing Ellipsis makes a fully
+    fixed index a 0-d view rather than a numpy scalar, so the in-place
+    updates below reach the tensor for every n."""
+    fixed = {axis: bit} if control is None else {axis: bit, control: 1}
+    return tuple(fixed.get(a, slice(None)) for a in range(max(fixed) + 1)) + (Ellipsis,)
+
+
+def _apply_core(tensor: np.ndarray, m: np.ndarray, axis: int,
+                control: int | None = None) -> None:
+    """Apply the 2x2 matrix `m` in place to tensor axis `axis`, on the
+    view where axis `control` reads 1 if a control is given."""
+    s0, s1 = tensor[_half(axis, 0, control)], tensor[_half(axis, 1, control)]
+    (a, b), (c, d) = m
+    if b == 0 and c == 0:
+        if a != 1:
+            s0 *= a
+        if d != 1:
+            s1 *= d
+        return
+    tmp = s0.copy()
+    if a == 0 and d == 0:
+        s0[...] = s1
+        if b != 1:
+            s0 *= b
+        s1[...] = tmp
+        if c != 1:
+            s1 *= c
+        return
+    s0 *= a
+    s0 += b * s1
+    s1 *= d
+    tmp *= c
+    s1 += tmp
+
+
+def _run(tensor: np.ndarray, c: Circuit) -> np.ndarray:
+    """Apply every gate of `c` in place to `tensor`, shaped (2,)*n plus
+    optional trailing axes with qubit q on axis n - 1 - q, and return it
+    with the axes in that order again."""
+    n = c.num_qubits
+    axis = [n - 1 - q for q in range(n)]
+    for g in c.gates:
+        if g.kind == "SWAP":
+            a, b = g.qubits
+            axis[a], axis[b] = axis[b], axis[a]
+            continue
+        m = gate_matrix(g)
+        if len(g.qubits) == 1:
+            _apply_core(tensor, m, axis[g.qubits[0]])
+        else:
+            control, target = g.qubits
+            _apply_core(tensor, m[2:, 2:], axis[target], axis[control])
+    return np.moveaxis(tensor, axis, range(n - 1, -1, -1))
 
 
 def statevector(c: Circuit, initial: int = 0) -> np.ndarray:
@@ -77,10 +135,7 @@ def statevector(c: Circuit, initial: int = 0) -> np.ndarray:
         raise TooManyQubits(f"n={n} exceeds the dense-simulation cap {MAX_QUBITS}")
     psi = np.zeros(2 ** n, dtype=complex)
     psi[initial] = 1.0
-    psi = psi.reshape((2,) * n)
-    for g in c.gates:
-        psi = _apply(psi, gate_matrix(g), g.qubits, n)
-    return psi.reshape(-1)
+    return _run(psi.reshape((2,) * n), c).reshape(-1)
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
@@ -90,9 +145,7 @@ def unitary_of(c: Circuit) -> np.ndarray:
         raise TooManyQubits(f"n={n} exceeds the dense-simulation cap {MAX_QUBITS}")
     dim = 2 ** n
     mat = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in c.gates:
-        mat = _apply(mat, gate_matrix(g), g.qubits, n)
-    return mat.reshape(dim, dim)
+    return _run(mat, c).reshape(dim, dim)
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
@@ -102,13 +155,10 @@ def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
 
 def permutation_vector(perm, n: int) -> np.ndarray:
     """Index map y[x] for relocating qubit q's bit to wire perm[q]."""
-    out = np.zeros(2 ** n, dtype=np.int64)
-    for x in range(2 ** n):
-        y = 0
-        for q in range(n):
-            if (x >> q) & 1:
-                y |= 1 << perm[q]
-        out[x] = y
+    x = np.arange(2 ** n, dtype=np.int64)
+    out = np.zeros_like(x)
+    for q in range(n):
+        out |= (x >> q & 1) << perm[q]
     return out
 
 
@@ -126,7 +176,7 @@ def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray, perm=None,
         pv = v
     else:
         ymap = permutation_vector(perm, n)
-        pv = np.empty_like(v)
+        pv = np.empty(v.shape, dtype=complex)
         pv[ymap, :] = v
     idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
     denom = pv[idx]
@@ -134,7 +184,10 @@ def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray, perm=None,
         return False, float(np.max(np.abs(u - pv)))
     phase = u[idx] / denom
     phase /= abs(phase)
-    deviation = float(np.max(np.abs(u - phase * pv)))
+    # e^{i phi} P v - u in one full-size array: pv itself when it is a copy
+    diff = np.multiply(pv, phase, out=None if pv is v else pv)
+    diff -= u
+    deviation = float(np.max(np.abs(diff)))
     return deviation <= tol, deviation
 
 
@@ -157,7 +210,8 @@ def qft_reference_unitary(labels) -> np.ndarray:
     dim = 2 ** n
     xw = permutation_vector([n - labels[v] for v in range(n)], n)
     yw = permutation_vector([labels[v] - 1 for v in range(n)], n)
-    return np.exp(2j * np.pi * np.outer(yw, xw) / dim) / math.sqrt(dim)
+    roots = np.exp(2j * np.pi * np.arange(dim) / dim) / math.sqrt(dim)
+    return roots[np.multiply.outer(yw, xw) & (dim - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from cactusq.circuit_ir import cnot_cost, load_circuit
-from cactusq.cli import main
+from cactusq.cli import MAX_GEN_VERTICES, main
 from cactusq.families import fig3_cactus
 from cactusq.graph_core import dump_graph, graph_to_json_dict, load_graph, random_cactus
 
@@ -145,6 +145,18 @@ class TestCostAndGen:
         proc = run_cli("hash", "--graph", "line4", "--l", "0", expect_code=1)
         assert "error:" in proc.stderr
 
+    def test_bare_command_prints_help(self):
+        proc = subprocess.run([sys.executable, "-m", "cactusq.cli"],
+                              capture_output=True, text=True)
+        assert "Commands:" in proc.stdout + proc.stderr
+        assert "error:" not in proc.stderr
+
+    def test_gen_size_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", f"--n={MAX_GEN_VERTICES + 1}"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: --n must be at most {MAX_GEN_VERTICES}\n"
+
     @pytest.mark.parametrize("args, message", [
         (("cost", "--graph", "line3", "--p", "1"), "modulus must be at least 2"),
         (("verify", "--graph", "line3", "--what", "hash", "--p", "1"),
@@ -260,6 +272,20 @@ class TestFuzz:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n=st.integers(-3, 40), seed=st.integers(-10**12, 10**12))
+    # sizes above the bound are rejected before any graph is generated
+    @given(n=st.integers(-3, 40) | st.integers(MAX_GEN_VERTICES + 1, 10**18),
+           seed=st.integers(-10**12, 10**12))
     def test_gen_exit_zero_or_one_line_error(self, capsys, n, seed):
         _run_fuzzed(capsys, ["gen", f"--n={n}", f"--seed={seed}"])
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=st.sampled_from([
+        ["gen", "--n", "abc"],
+        ["verify", "--graph", "line3", "--what", "x"],
+        ["frobnicate"],
+        ["path"],
+    ]))
+    def test_usage_errors_one_line(self, capsys, args):
+        # click's parser errors, not only the commands' own checks
+        _run_fuzzed(capsys, args)

@@ -1,6 +1,7 @@
-"""Simulator tests: gate matrices, statevector/unitary construction,
-permutation-and-phase equivalence, the QFT references, and the MOD_p
-acceptance probability against its closed form."""
+"""Simulator tests: gate matrices, statevector/unitary construction
+against an independent Kronecker-product oracle, permutation-and-phase
+equivalence, the QFT references, and the MOD_p acceptance probability
+against its closed form."""
 
 import math
 
@@ -23,6 +24,7 @@ from cactusq.verify_sim import (
     gate_matrix,
     modp_accept_probability,
     modp_closed_form,
+    permutation_vector,
     qft_matrix,
     qft_reference_unitary,
     statevector,
@@ -30,6 +32,34 @@ from cactusq.verify_sim import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+ONE_QUBIT = {"H": {}, "X": {}, "Ry": {"theta": 0.9}, "Rz": {"theta": -1.3}, "Rk": {"d": 3}}
+TWO_QUBIT = {"CNOT": {}, "CRy": {"theta": 2.1}, "CRz": {"theta": 0.7}, "CRd": {"d": 2},
+             "SWAP": {}}
+
+
+def oracle_gate(g: Gate, n: int) -> np.ndarray:
+    """Full 2^n x 2^n matrix of one gate, built without the simulator:
+    the gate's matrix on the low qubits by np.kron (a two-qubit gate with
+    its control on qubit 1 and its target on qubit 0), conjugated by the
+    basis permutation that moves those qubits onto the gate's own."""
+    m = gate_matrix(g)
+    k = len(g.qubits)
+    full = np.kron(np.eye(2 ** (n - k)), m)
+    # low qubit j of `full` goes to wire g.qubits[k - 1 - j]; the rest keep order
+    wires = list(reversed(g.qubits)) + [q for q in range(n) if q not in g.qubits]
+    p = np.zeros((2 ** n, 2 ** n))
+    for x in range(2 ** n):
+        y = sum(((x >> j) & 1) << wires[j] for j in range(n))
+        p[y, x] = 1
+    return p @ full @ p.T
+
+
+def oracle_unitary(c: Circuit) -> np.ndarray:
+    u = np.eye(2 ** c.num_qubits, dtype=complex)
+    for g in c.gates:
+        u = oracle_gate(g, c.num_qubits) @ u
+    return u
 
 
 class TestGateMatrices:
@@ -62,6 +92,84 @@ class TestGateMatrices:
     def test_rk_phase(self):
         m = gate_matrix(Gate("Rk", (0,), d=3))
         assert np.allclose(np.diag(m), [1, np.exp(1j * math.pi / 4)])
+
+
+class TestOracle:
+    """unitary_of and statevector against the Kronecker-product oracle."""
+
+    def test_oracle_places_qubit0_lowest(self):
+        # X on qubit 0 of two flips the least-significant bit
+        m = oracle_gate(Gate("X", (0,)), 2)
+        assert np.array_equal(m[:, 0], [0, 1, 0, 0])
+
+    def test_oracle_cnot_control_high(self):
+        # CNOT(1 -> 0) maps |10> (index 2) to |11> (index 3)
+        m = oracle_gate(Gate("CNOT", (1, 0)), 2)
+        assert np.array_equal(m[:, 2], [0, 0, 0, 1])
+
+    @pytest.mark.parametrize("kind", sorted(ONE_QUBIT))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_qubit_gate(self, kind, n):
+        for q in range(n):
+            c = Circuit(n)
+            c.append(Gate(kind, (q,), **ONE_QUBIT[kind]))
+            assert np.allclose(unitary_of(c), oracle_unitary(c), atol=1e-13)
+
+    @pytest.mark.parametrize("kind", sorted(TWO_QUBIT))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_two_qubit_gate_every_pair(self, kind, n):
+        # both control/target orders, adjacent and (n >= 3) non-adjacent
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    c = Circuit(n)
+                    c.append(Gate(kind, (a, b), **TWO_QUBIT[kind]))
+                    assert np.allclose(unitary_of(c), oracle_unitary(c), atol=1e-13)
+
+    def test_gates_after_swaps(self):
+        # every kind on every pair after SWAPs relabel the qubits
+        c = Circuit(4)
+        c.swap(0, 2)
+        c.swap(1, 3)
+        c.swap(0, 3)
+        for kind, kw in {**ONE_QUBIT, **TWO_QUBIT}.items():
+            for q in range(4):
+                qubits = (q,) if kind in ONE_QUBIT else (q, (q + 2) % 4)
+                c.append(Gate(kind, qubits, **kw))
+        assert np.allclose(unitary_of(c), oracle_unitary(c), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(ONE_QUBIT))
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_one_qubit_statevector(self, kind, x):
+        # a single axis: every slice of it is a 0-d view
+        c = Circuit(1)
+        c.append(Gate(kind, (0,), **ONE_QUBIT[kind]))
+        assert np.allclose(statevector(c, x), oracle_unitary(c)[:, x], atol=1e-13)
+
+    @pytest.mark.parametrize("kind", sorted(TWO_QUBIT))
+    @pytest.mark.parametrize("qubits", [(0, 1), (1, 0)])
+    def test_two_qubit_statevector(self, kind, qubits):
+        c = Circuit(2)
+        c.h(0)
+        c.ry(1, 0.4)
+        c.append(Gate(kind, qubits, **TWO_QUBIT[kind]))
+        for x in range(4):
+            assert np.allclose(statevector(c, x), oracle_unitary(c)[:, x], atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 10 ** 6), st.integers(0, 30))
+    def test_random_circuit(self, n, seed, length):
+        c = random_circuit(n, seed, length)
+        u = unitary_of(c)
+        assert np.allclose(u, oracle_unitary(c), atol=1e-12)
+        for x in {0, seed % 2 ** n, 2 ** n - 1}:
+            assert np.allclose(statevector(c, x), u[:, x], atol=1e-13)
+
+    def test_permutation_vector_moves_bits(self):
+        # qubit q's bit goes to wire perm[q]
+        perm = (2, 0, 3, 1)
+        expect = [sum(((x >> q) & 1) << perm[q] for q in range(4)) for x in range(16)]
+        assert permutation_vector(perm, 4).tolist() == expect
 
 
 class TestSimulator:
@@ -160,6 +268,16 @@ class TestQftReferences:
         c.crd(2, 1, 2)
         c.h(2)
         assert np.allclose(unitary_of(c), qft_reference_unitary((1, 2, 3)), atol=1e-12)
+
+    @pytest.mark.parametrize("labels", [(1,), (2, 1), (3, 1, 2), (4, 2, 5, 1, 3), (6, 1, 5, 2, 4, 3)])
+    def test_reference_matches_its_formula(self, labels):
+        # X reads qubit v's bit at weight 2^(n - labels[v]), Y at 2^(labels[v] - 1)
+        n = len(labels)
+        dim = 2 ** n
+        xs = [sum(((x >> v) & 1) << (n - labels[v]) for v in range(n)) for x in range(dim)]
+        ys = [sum(((y >> v) & 1) << (labels[v] - 1) for v in range(n)) for y in range(dim)]
+        expect = np.exp(2j * np.pi * np.outer(ys, xs) / dim) / math.sqrt(dim)
+        assert np.allclose(qft_reference_unitary(labels), expect, atol=1e-12)
 
     def test_relabeling_conjugates_by_the_wire_swap(self):
         c = Circuit(2)
