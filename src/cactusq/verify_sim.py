@@ -15,9 +15,8 @@ tensor axes, and one `moveaxis` at the end restores the axis order.  A
 controlled gate acts only on the view where its control axis reads 1,
 and applies there its target core, the lower-right 2x2 block of
 `gate_matrix`.  A one-qubit core on the two slices of its target axis
-scales them in place when it is diagonal (Rz, Rk, CRd's phase), swaps
-them when it is anti-diagonal (X), and mixes them through one temporary
-otherwise (H, Ry).
+scales them in place when it is diagonal (Rz, Rk, CRd's phase), and
+mixes them otherwise (H, X, Ry) with one half-size temporary.
 """
 
 from __future__ import annotations
@@ -92,19 +91,13 @@ def _apply_core(tensor: np.ndarray, m: np.ndarray, axis: int,
         if d != 1:
             s1 *= d
         return
-    tmp = s0.copy()
-    if a == 0 and d == 0:
-        s0[...] = s1
-        if b != 1:
-            s0 *= b
-        s1[...] = tmp
-        if c != 1:
-            s1 *= c
-        return
+    # A unitary core with b == 0 has c == 0, so here b != 0 and s1 can
+    # hold b*s1 on the way, which leaves c*s0 as the only temporary.
+    tmp = c * s0
     s0 *= a
-    s0 += b * s1
-    s1 *= d
-    tmp *= c
+    s1 *= b
+    s0 += s1
+    s1 *= d / b
     s1 += tmp
 
 

@@ -166,6 +166,12 @@ class TestCostAndGen:
         (("verify", "--graph", "line3", "--what", "hash", "--epsilon", "0"),
          "epsilon must lie in (0, 0.5)"),
         (("cost", "--graph", "line3", "--epsilon", "-1"), "epsilon must lie in (0, 0.5)"),
+        # click's own parser errors
+        (("gen", "--n", "abc"), "Invalid value for '--n': 'abc' is not a valid integer."),
+        (("verify", "--graph", "line3", "--what", "x"),
+         "Invalid value for '--what': 'x' is not one of 'hash', 'qft'."),
+        (("frobnicate",), "No such command 'frobnicate'."),
+        (("path",), "Missing option '--graph'."),
     ])
     def test_degenerate_input_one_line_error(self, args, message):
         proc = run_cli(*args, expect_code=1)
@@ -277,15 +283,3 @@ class TestFuzz:
            seed=st.integers(-10**12, 10**12))
     def test_gen_exit_zero_or_one_line_error(self, capsys, n, seed):
         _run_fuzzed(capsys, ["gen", f"--n={n}", f"--seed={seed}"])
-
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(args=st.sampled_from([
-        ["gen", "--n", "abc"],
-        ["verify", "--graph", "line3", "--what", "x"],
-        ["frobnicate"],
-        ["path"],
-    ]))
-    def test_usage_errors_one_line(self, capsys, args):
-        # click's parser errors, not only the commands' own checks
-        _run_fuzzed(capsys, args)
