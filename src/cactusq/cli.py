@@ -47,7 +47,6 @@ from .hash_synth import (
     find_good_set,
     hash_reference_circuit,
     synthesize_hash,
-    theorem1_cost,
 )
 from .qft_synth import DisconnectedRemainder, synthesize_qft
 from .verify_sim import (
@@ -103,15 +102,6 @@ def _resolve_graph(spec: str) -> Graph:
     )
 
 
-def _print_json(obj, out: str | None = None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -120,11 +110,19 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_circuit(circuit: Circuit, fmt: str, out: str | None) -> None:
-    if fmt == "qasm":
-        _write_text(to_qasm(circuit), out)
-    else:
-        _write_text(dump_circuit(circuit), out)
+def _print_json(obj, out: str | None = None) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+
+
+def _emit_and_report(circuit: Circuit, report: dict, emit, report_flag, out) -> None:
+    """--emit writes the circuit (to --out when given); --report, or no
+    --emit, prints the report on stdout."""
+    if emit is not None and report_flag and out is None:
+        raise ValueError("use --out for the circuit when both --emit and --report are given")
+    if emit is not None:
+        _write_text(to_qasm(circuit) if emit == "qasm" else dump_circuit(circuit), out)
+    if report_flag or emit is None:
+        _print_json(report)
 
 
 def _guarded(fn):
@@ -233,12 +231,8 @@ def hash_cmd(graph_spec, l, p, epsilon, seed, emit, report_flag, out) -> None:
         raise ValueError("hashing needs at least 2 qubits")
     params = find_good_set(p, epsilon, seed=seed, size=g.n - 1)
     result = synthesize_hash(g, l, params)
-    if emit is not None and report_flag and out is None:
-        raise ValueError("use --out for the circuit when both --emit and --report are given")
-    if emit is not None:
-        _emit_circuit(result.circuit, emit, out)
-    if report_flag or emit is None:
-        _print_json(_hash_report(g, result, params, seed))
+    _emit_and_report(result.circuit, _hash_report(g, result, params, seed),
+                     emit, report_flag, out)
 
 
 def _qft_report(rep: CostReport) -> dict:
@@ -276,12 +270,7 @@ def qft_cmd(graph_spec, emit, report_flag, out) -> None:
     """Synthesize the QFT circuit by cascades of covering paths."""
     g = _resolve_graph(graph_spec)
     circuit, rep = synthesize_qft(g)
-    if emit is not None and report_flag and out is None:
-        raise ValueError("use --out for the circuit when both --emit and --report are given")
-    if emit is not None:
-        _emit_circuit(circuit, emit, out)
-    if report_flag or emit is None:
-        _print_json(_qft_report(rep))
+    _emit_and_report(circuit, _qft_report(rep), emit, report_flag, out)
 
 
 def _default_hash_params(n: int, p: int, epsilon: float) -> HashParams:
@@ -340,19 +329,18 @@ def cost_cmd(graph_spec, l, p, epsilon) -> None:
     n = g.n
     out: dict = {"n": n}
     if n >= 2:
-        walk = solve_cactus(g)
+        result = synthesize_hash(g, l, _default_hash_params(n, p, epsilon))
+        walk = result.path
         out["path"] = {
             **_walk_fields(walk),
             "lemma1_bound": 2 * n - 3,
             "lemma1_ok": walk.length <= 2 * n - 3,
         }
-        params = _default_hash_params(n, p, epsilon)
-        result = synthesize_hash(g, l, params)
         rep = result.cost
         out["hash"] = {
             "l": l,
             "cnot_count": rep.cnot_count,
-            "theorem1_value": theorem1_cost(n, walk.k, walk.k_distinct, l),
+            "theorem1_value": rep.formula_value,
             "theorem1_exact": rep.exact,
             "corollary1": _corollary1(n, l, rep.cnot_count),
         }

@@ -1,13 +1,15 @@
 """Shallow quantum-hashing synthesis along a covering path.
 
-One application walks the covering path with the rotation target, firing a
-controlled Ry from every other qubit exactly once: off-path neighbors fire
-where the walk first passes them, path vertices fire fused with the SWAP
-that moves the target onward.  Repeated applications alternate walk
-direction so consecutive applications meet on a shared control, and that
-boundary pair merges into one double-angle rotation.  Also contains the
-Theorem-style cost formula, the good-coefficient-set search, and the full
-MOD_p automaton circuit (H sandwich around the repeated operator).
+`target_walk` is the walk both syntheses share: the target rides the
+covering path and every other qubit fires once, off-path neighbors where
+the walk first passes them and path vertices fused with the SWAP that
+moves the target onto them.  One hashing application is that walk with
+controlled Ry gates (`qft_synth` adds an H and a park SWAP for a QFT
+cascade).  Repeated applications alternate walk direction so consecutive
+applications meet on a shared control, and that boundary pair merges into
+one double-angle rotation.  Also contains the Theorem-style cost formula,
+the good-coefficient-set search, and the full MOD_p automaton circuit (H
+sandwich around the repeated operator).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .circuit_ir import Circuit, CostReport, Gate, cnot_cost
 from .covering_path import CoveringPath, solve_cactus
@@ -103,6 +106,38 @@ def _angle_of(angles, g: Graph, target: int):
     )
 
 
+def target_walk(g: Graph, verts, controls: set[int], descending: bool,
+                gate) -> tuple[list[Gate], set[int]]:
+    """Walk the target from verts[0] along `verts`, firing each control once.
+
+    At each walk vertex its neighbors in `controls` that are off the walk
+    and have not fired yet fire in ascending order (descending when
+    `descending`); then the next walk vertex fires, unless it already has,
+    and a SWAP moves the target onto it (the pair fuses when lowered).
+    The start vertex holds the target and never fires.  `gate(u, at)`
+    builds control u's gate onto the target at `at`.  Returns the gates and
+    the set of vertices fired.
+    """
+    start = verts[0]
+    pending = controls - set(verts)  # off-walk controls yet to fire
+    gates: list[Gate] = []
+    fired: set[int] = set()
+    for at, nxt in zip_longest(verts, verts[1:]):
+        nbrs = g.adjacency[at]
+        for u in (nbrs[::-1] if descending else nbrs):
+            if u in pending:
+                gates.append(gate(u, at))
+                fired.add(u)
+                pending.remove(u)
+        if nxt is None:
+            break
+        if nxt != start and nxt not in fired:
+            gates.append(gate(nxt, at))
+            fired.add(nxt)
+        gates.append(Gate("SWAP", (at, nxt)))
+    return gates, fired
+
+
 def construct_for_path(g: Graph, path, angles, direction: str = "forward",
                        lead_control: int | None = None,
                        circuit: Circuit | None = None) -> Circuit:
@@ -110,10 +145,8 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
     appended to `circuit` (a new circuit on device g when None), which is
     returned.
 
-    Emits, walking the path: a CRy from each not-yet-used neighbor that is
-    not a path vertex, then a CRy+SWAP moving the target one step (bare
-    SWAP on revisits); finally CRys from the leftover neighbors of the
-    path end.  `reverse` walks the path backward with descending neighbor
+    The target walks the path (`target_walk`) firing a CRy from every other
+    qubit once.  `reverse` walks the path backward with descending neighbor
     order.  The rotations fired at one vertex commute, so `lead_control`
     (when present in the opening batch) is moved to the front; repeated
     applications use it to start on the control the previous application
@@ -125,34 +158,14 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
     verts = list(path.vertices if isinstance(path, CoveringPath) else path)
     if direction == "reverse":
         verts.reverse()
-    on_path = set(verts)
     start = verts[0]
     ang = _angle_of(angles, g, start)
-    descending = direction == "reverse"
-    gates: list[Gate] = []
-    used: set[int] = set()
-    opening = [True]
-
-    def fire_neighbors(at: int) -> None:
-        nbrs = [u for u in g.adjacency[at] if u not in on_path and u not in used]
-        nbrs.sort(reverse=descending)
-        if opening[0]:
-            opening[0] = False
-            if lead_control in nbrs:
-                nbrs.remove(lead_control)
-                nbrs.insert(0, lead_control)
-        for u in nbrs:
-            gates.append(Gate("CRy", (u, at), theta=ang(u)))
-            used.add(u)
-
-    for j in range(len(verts) - 1):
-        cur, nxt = verts[j], verts[j + 1]
-        fire_neighbors(cur)
-        if nxt not in used:
-            gates.append(Gate("CRy", (nxt, cur), theta=ang(nxt)))
-            used.add(nxt)
-        gates.append(Gate("SWAP", (cur, nxt)))
-    fire_neighbors(verts[-1])
+    gates, fired = target_walk(g, verts, set(range(g.n)), direction == "reverse",
+                               lambda u, at: Gate("CRy", (u, at), theta=ang(u)))
+    if lead_control in g.adjacency[start] and lead_control not in verts:
+        # it fired in the opening batch, whose rotations commute
+        i = next(i for i, x in enumerate(gates) if x.qubits[0] == lead_control)
+        gates.insert(0, gates.pop(i))
     c = Circuit(g.n, device=g) if circuit is None else circuit
     last = c.gates[-1] if c.gates else None
     if (last is not None and gates and last.kind == gates[0].kind == "CRy"
@@ -161,7 +174,7 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
         c.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
         gates = gates[1:]
     c.extend(gates)
-    missed = set(range(g.n)) - used - {start}
+    missed = set(range(g.n)) - fired - {start}
     if missed:
         raise PathNotCovering(f"vertices never reached as controls: {sorted(missed)}")
     return c

@@ -7,10 +7,10 @@ neighbor of the path end, which is excluded from later stages.  The final
 labels make every cascade a textbook QFT cascade in label space:
 cascade r applies H to the label-r qubit and a controlled phase of order
 (label - r + 1) from each survivor.  `cascade_for_path` emits one cascade
-walking the same path: off-path controls fire where the walk passes them,
-path controls fuse with the movement SWAPs, and the park vertex's phase
-gate is deferred to the end so it fuses with the park SWAP (phase gates
-commute, and the parked occupant never moves mid-cascade).
+as the hashing walk (`hash_synth.target_walk`) with controlled phases,
+after an H on the target and before the park: the park vertex sits out of
+the walk's firing, so its phase gate fuses with the closing park SWAP
+(phase gates commute, and the parked occupant never moves mid-cascade).
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit_ir import Circuit, CostReport, cnot_cost
+from .circuit_ir import Circuit, CostReport, Gate, cnot_cost
 from .covering_path import CoveringPath, brute_force_oracle, solve_cactus
 from .graph_core import Graph, NotACactus, NotConnected
+from .hash_synth import target_walk
 
 
 class DisconnectedRemainder(Exception):
@@ -147,39 +148,25 @@ def construct_s(g: Graph) -> CascadePlan:
     return CascadePlan(n=n, S=tuple(labels), A=tuple(occ), cascades=tuple(records))
 
 
-def cascade_for_path(g: Graph, record: CascadeRecord) -> Circuit:
-    """Emit one cascade as a standalone circuit fragment."""
-    surv = set(record.survivors)
-    path = record.path
-    on_path = set(path)
+def cascade_for_path(g: Graph, record: CascadeRecord, circuit: Circuit) -> Circuit:
+    """Append one cascade to `circuit` and return it: H on the target,
+    `target_walk` with CRd gates (the park sits out of its firing), then
+    the park's CRd fused with the park SWAP."""
+    path, park = record.path, record.park
     d = dict(record.d_of)
-    park = record.park
-    c = Circuit(g.n, device=g)
-    c.h(path[0])
-    used: set[int] = set()
-
-    def fire(at: int) -> None:
-        for u in sorted(g.adjacency[at]):
-            if u in surv and u not in on_path and u not in used and u != park:
-                c.crd(u, at, d[u])
-                used.add(u)
-
-    for j in range(len(path) - 1):
-        cur, nxt = path[j], path[j + 1]
-        fire(cur)
-        if nxt not in used:
-            c.crd(nxt, cur, d[nxt])
-            used.add(nxt)
-        c.swap(cur, nxt)
-    end = path[-1]
-    fire(end)
+    surv = set(record.survivors)
+    gates, fired = target_walk(g, path, surv - {park}, False,
+                               lambda u, at: Gate("CRd", (u, at), d=d[u]))
+    circuit.h(path[0])
+    circuit.extend(gates)
     if park is not None:
-        if park not in used:
-            c.crd(park, end, d[park])
-            used.add(park)
-        c.swap(end, park)
-    assert used | {path[0]} == surv, "a control was never reached"
-    return c
+        end = path[-1]
+        if park not in fired:  # else the walk fired it as a step target
+            circuit.crd(park, end, d[park])
+            fired.add(park)
+        circuit.swap(end, park)
+    assert fired | {path[0]} == surv, "a control was never reached"
+    return circuit
 
 
 def synthesize_qft(g: Graph) -> tuple[Circuit, CostReport]:
@@ -198,8 +185,7 @@ def synthesize_qft(g: Graph) -> tuple[Circuit, CostReport]:
     plan = construct_s(g)
     circuit = Circuit(n, device=g)
     for rec in plan.cascades:
-        fragment = cascade_for_path(g, rec)
-        circuit.extend(fragment.gates)
+        cascade_for_path(g, rec, circuit)
     final = circuit.final_permutation
     for v in range(n):
         assert final[plan.A[v]] == v, "layout trace drifted from the plan"

@@ -21,7 +21,7 @@ import pytest
 
 from conftest import fewest_revisits, random_circuit, shortest_simple_covering_walk
 
-from cactusq.circuit_ir import cancel_adjacent_cnots, cnot_cost, decompose
+from cactusq.circuit_ir import Circuit, cancel_adjacent_cnots, cnot_cost, decompose
 from cactusq.covering_path import brute_force_oracle, brute_force_visit_all, solve_cactus
 from cactusq.families import chain_of_squares, complete, fig3_cactus, star
 from cactusq.graph_core import random_cactus
@@ -222,7 +222,8 @@ def test_criterion_09_qft_cost_bounds(corpus):
                 continue
             share = 2 * (len(rec.survivors) - 1) + len(rec.path)
             revisits = len(rec.path) - len(set(rec.path))
-            if cnot_cost(cascade_for_path(g, rec)) != share + 2 * revisits:
+            stage = cascade_for_path(g, rec, Circuit(n, device=g))
+            if cnot_cost(stage) != share + 2 * revisits:
                 stage_off += 1
             if not revisits:
                 continue

@@ -80,6 +80,19 @@ class TestSingleApplication:
         rev = construct_for_path(g, solve_cactus(g), _flat_angles(g), direction="reverse")
         assert cnot_cost(fwd) == cnot_cost(rev)
 
+    @pytest.mark.parametrize("direction, start", [("forward", 1), ("reverse", 2)])
+    def test_walk_back_over_its_start(self, direction, start):
+        # forward, the walk steps back onto its start vertex; the qubit
+        # standing there is the target and must not fire as a control
+        g = line(4)
+        c = construct_for_path(g, [1, 0, 1, 2], _flat_angles(g), direction=direction)
+        ref = hash_reference_circuit(g, 1, _flat_angles(g), start)
+        ok, dev = equiv_up_to_permutation(
+            unitary_of(c), unitary_of(ref), perm=c.final_permutation
+        )
+        assert ok, f"deviation {dev}"
+        assert c.count("CRy") == 3
+
 
 class TestSynthesizeHash:
     @pytest.mark.parametrize("l, expect", [(1, 10), (2, 18), (3, 26), (4, 34)])

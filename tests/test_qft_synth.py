@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import shortest_simple_covering_walk
 
-from cactusq.circuit_ir import cnot_cost
+from cactusq.circuit_ir import Circuit, cnot_cost
 from cactusq.families import complete, cycle, fig3_cactus, line, star
 from cactusq.graph_core import Graph, random_cactus
-from cactusq.qft_synth import cascade_for_path, construct_s, synthesize_qft
+from cactusq.qft_synth import CascadeRecord, cascade_for_path, construct_s, synthesize_qft
 from cactusq.verify_sim import equiv_up_to_permutation, qft_reference_unitary, unitary_of
 
 SPIDER = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -58,7 +58,7 @@ class TestCascadeForPath:
     def test_line3_first_cascade(self):
         g = line(3)
         plan = construct_s(g)
-        frag = cascade_for_path(g, plan.cascades[0])
+        frag = cascade_for_path(g, plan.cascades[0], Circuit(g.n, device=g))
         kinds = [gg.kind for gg in frag.gates]
         # H at the target, one neighbor fired in place, the park rotation
         # fused with the park SWAP
@@ -67,15 +67,39 @@ class TestCascadeForPath:
     def test_last_cascade_is_hadamard_only(self):
         g = line(4)
         plan = construct_s(g)
-        frag = cascade_for_path(g, plan.cascades[-1])
+        frag = cascade_for_path(g, plan.cascades[-1], Circuit(g.n, device=g))
         assert [gg.kind for gg in frag.gates] == ["H"]
 
     def test_every_control_fires_once(self):
         g = fig3_cactus()
         plan = construct_s(g)
         for rec in plan.cascades:
-            frag = cascade_for_path(g, rec)
+            frag = cascade_for_path(g, rec, Circuit(g.n, device=g))
             assert frag.count("CRd") == len(rec.survivors) - 1
+
+    def test_park_on_the_walk_fired_as_a_step(self):
+        # a park the walk already fired gets a bare park SWAP
+        g = cycle(4)
+        rec = CascadeRecord(r=1, path=(0, 1, 2), target_vertex=0, park=1,
+                            survivors=(0, 1, 2, 3), d_of=((1, 2), (2, 3), (3, 4)))
+        c = cascade_for_path(g, rec, Circuit(g.n, device=g))
+        assert [(gg.kind, gg.qubits, gg.d) for gg in c.gates] == [
+            ("H", (0,), None),
+            ("CRd", (3, 0), 4),
+            ("CRd", (1, 0), 2),
+            ("SWAP", (0, 1), None),
+            ("CRd", (2, 1), 3),
+            ("SWAP", (1, 2), None),
+            ("SWAP", (2, 1), None),
+        ]
+
+    def test_walk_back_over_its_start(self):
+        # the target's start vertex never fires, however often it is passed
+        g = line(4)
+        rec = CascadeRecord(r=1, path=(1, 0, 1, 2), target_vertex=1, park=3,
+                            survivors=(0, 1, 2, 3), d_of=((0, 2), (2, 3), (3, 4)))
+        c = cascade_for_path(g, rec, Circuit(g.n, device=g))
+        assert sorted(gg.qubits[0] for gg in c.gates if gg.kind == "CRd") == [0, 2, 3]
 
 
 class TestSynthesizeQft:
