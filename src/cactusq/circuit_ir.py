@@ -5,9 +5,10 @@ checking and the final qubit permutation the SWAPs leave); one lowering
 table onto the basic set {H, X, Ry, Rz, CNOT}, with the controlled-
 rotation/SWAP fusion applied at synthesis seams, read by `decompose` (a
 basic-gate `Circuit`), `to_qasm` (QASM-flavored text written straight from
-the table) and `cnot_cost` (the `cx` lines `to_qasm` writes, counted in
-one pass over the composite gates); `cancel_adjacent_cnots`, a peephole
-pass kept apart from the cost; and a JSON gate-list dump/load pair.
+the table, each distinct gate formatted once) and `cnot_cost` (the `cx`
+lines `to_qasm` writes, counted in one pass over the composite gates);
+`cancel_adjacent_cnots`, a peephole pass kept apart from the cost; and a
+JSON gate-list dump/load pair.
 
 Gate matrices follow the conventions used throughout this package:
 Ry(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]],
@@ -261,16 +262,26 @@ class CostReport:
 # ---------------------------------------------------------------------------
 
 
+def _qasm_line(kind: str, q: tuple[int, ...], theta) -> str:
+    if kind == "CNOT":
+        return f"cx q[{q[0]}],q[{q[1]}];"
+    if theta is None:
+        return f"{kind.lower()} q[{q[0]}];"
+    return f"{kind.lower()}({theta:.17g}) q[{q[0]}];"
+
+
 def to_qasm(c: Circuit) -> str:
-    """QASM-flavored text of the lowered circuit, formatted row by row."""
+    """QASM-flavored text of the lowered circuit.  The rows of each
+    distinct (gate, fused) pair are formatted once and the text reused."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    for kind, q, theta in _lowered(c):
-        if kind == "CNOT":
-            lines.append(f"cx q[{q[0]}],q[{q[1]}];")
-        elif theta is None:
-            lines.append(f"{kind.lower()} q[{q[0]}];")
-        else:
-            lines.append(f"{kind.lower()}({theta:.17g}) q[{q[0]}];")
+    text: dict[tuple, str] = {}
+    for g, fuse in _fused(c.gates):
+        # 0.0 == -0.0 would make them one key, yet they print as 0 and -0
+        key = (g, fuse, math.copysign(1.0, g.theta)) if g.theta == 0 else (g, fuse)
+        rows = text.get(key)
+        if rows is None:
+            rows = text[key] = "\n".join(_qasm_line(*row) for row in _rows(g, fuse))
+        lines.append(rows)
     return "\n".join(lines) + "\n"
 
 

@@ -73,6 +73,11 @@ _VALIDATION_ERRORS = (
 # would run until memory ran out; 10^5 vertices generate in well under 1 s
 MAX_GEN_VERTICES = 100_000
 
+# the circuit grows linearly in --l, so a mistyped fold count would run
+# until memory ran out; `hash --graph fig3 --l 100000 --emit qasm` takes
+# about 1.5 s and 200 MB on a 2-vCPU VM
+MAX_FOLDS = 100_000
+
 # click >= 8.2 raises this for a bare `cactusq`; its message is the help text
 _NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
@@ -171,6 +176,13 @@ def gen_cmd(n: int, seed: int, out: str | None) -> None:
     _print_json(graph_to_json_dict(g), out)
 
 
+def _check_folds(l: int) -> None:
+    if l < 1:
+        raise ValueError("--l must be at least 1")
+    if l > MAX_FOLDS:
+        raise ValueError(f"--l must be at most {MAX_FOLDS}")
+
+
 def _walk_fields(walk) -> dict:
     return {
         "path": list(walk.vertices),
@@ -225,8 +237,7 @@ def _hash_report(g: Graph, result, params: HashParams, seed: int) -> dict:
 def hash_cmd(graph_spec, l, p, epsilon, seed, emit, report_flag, out) -> None:
     """Synthesize the merged l-fold hashing operator."""
     g = _resolve_graph(graph_spec)
-    if l < 1:
-        raise ValueError("--l must be at least 1")
+    _check_folds(l)
     if g.n < 2:
         raise ValueError("hashing needs at least 2 qubits")
     params = find_good_set(p, epsilon, seed=seed, size=g.n - 1)
@@ -292,8 +303,7 @@ def verify_cmd(graph_spec, what, l, p, epsilon) -> None:
     if g.n > MAX_QUBITS:
         raise TooManyQubits(f"verification simulates densely; {g.n} > {MAX_QUBITS} qubits")
     if what == "hash":
-        if l < 1:
-            raise ValueError("--l must be at least 1")
+        _check_folds(l)
         params = _default_hash_params(g.n, p, epsilon)
         result = synthesize_hash(g, l, params)
         circuit = result.circuit
@@ -326,6 +336,7 @@ def verify_cmd(graph_spec, what, l, p, epsilon) -> None:
 def cost_cmd(graph_spec, l, p, epsilon) -> None:
     """Print the formula checks for both syntheses without emitting circuits."""
     g = _resolve_graph(graph_spec)
+    _check_folds(l)
     n = g.n
     out: dict = {"n": n}
     if n >= 2:

@@ -7,9 +7,13 @@ moves the target onto them.  One hashing application is that walk with
 controlled Ry gates (`qft_synth` adds an H and a park SWAP for a QFT
 cascade).  Repeated applications alternate walk direction so consecutive
 applications meet on a shared control, and that boundary pair merges into
-one double-angle rotation.  Also contains the Theorem-style cost formula,
-the good-coefficient-set search, and the full MOD_p automaton circuit (H
-sandwich around the repeated operator).
+one double-angle rotation.  The reverse SWAPs undo the forward ones, so
+the qubits are back in place after every pair of applications and the
+fold repeats with a period of two: each distinct application is built
+once and its gates are appended again for every later one.  Also
+contains the Theorem-style cost formula, the good-coefficient-set search,
+and the full MOD_p automaton circuit (H sandwich around the repeated
+operator).
 """
 
 from __future__ import annotations
@@ -167,6 +171,16 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
         i = next(i for i, x in enumerate(gates) if x.qubits[0] == lead_control)
         gates.insert(0, gates.pop(i))
     c = Circuit(g.n, device=g) if circuit is None else circuit
+    _append_merged(c, gates)
+    missed = set(range(g.n)) - fired - {start}
+    if missed:
+        raise PathNotCovering(f"vertices never reached as controls: {sorted(missed)}")
+    return c
+
+
+def _append_merged(c: Circuit, gates: list[Gate]) -> None:
+    """Append `gates` to `c`, merging an opening CRy on the pair `c` ends
+    with into that gate."""
     last = c.gates[-1] if c.gates else None
     if (last is not None and gates and last.kind == gates[0].kind == "CRy"
             and last.qubits == gates[0].qubits):
@@ -174,10 +188,6 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
         c.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
         gates = gates[1:]
     c.extend(gates)
-    missed = set(range(g.n)) - fired - {start}
-    if missed:
-        raise PathNotCovering(f"vertices never reached as controls: {sorted(missed)}")
-    return c
 
 
 def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int,
@@ -188,18 +198,33 @@ def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int,
     Angles attach to logical qubits, and the SWAPs shift logical qubits
     along the path, so each application's per-vertex angle table is built
     from the occupancy at that application's start (any control fires
-    before the walk first disturbs its vertex, so that table is exact).
+    before the walk first disturbs its vertex, so that table is exact).  A
+    reverse application undoes the forward one's SWAPs, so that occupancy,
+    and with it the angle table, depends on i % 2 only, and the gates on
+    i % 2 and the lead control.  `construct_for_path` builds each such
+    application once, on a circuit of its own; its gates are then appended
+    again, through `Circuit.append`'s checks, for every later application
+    with the same parity and lead.  Only a merged boundary rotation is a
+    new gate.
     """
-    occ = list(range(g.n))  # occ[u] = logical qubit currently at vertex u
+    forward = list(path.vertices)
+    occ = list(range(g.n))  # occ[u] = logical qubit at vertex u after a forward pass
+    for cur, nxt in zip(forward, forward[1:]):
+        occ[cur], occ[nxt] = occ[nxt], occ[cur]
+    occupancy = (range(g.n), occ)  # at the start of an even / an odd application
+    built: dict[tuple[int, int | None], list[Gate]] = {}
     for i in range(l):
-        direction = "forward" if i % 2 == 0 else "reverse"
-        verts = path.vertices if direction == "forward" else path.vertices[::-1]
-        angle_map = {u: per_logical(occ[u]) for u in range(g.n) if u != verts[0]}
+        parity = i % 2
         last = circuit.gates[-1] if circuit.gates else None
         lead = last.qubits[0] if last is not None and last.kind == "CRy" else None
-        construct_for_path(g, path, angle_map, direction, lead_control=lead, circuit=circuit)
-        for cur, nxt in zip(verts, verts[1:]):
-            occ[cur], occ[nxt] = occ[nxt], occ[cur]
+        gates = built.get((parity, lead))
+        if gates is None:
+            start = forward[-1] if parity else forward[0]
+            angle_map = {u: per_logical(occupancy[parity][u]) for u in range(g.n) if u != start}
+            direction = "reverse" if parity else "forward"
+            gates = built[parity, lead] = construct_for_path(
+                g, path, angle_map, direction, lead_control=lead).gates
+        _append_merged(circuit, gates)
 
 
 def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult:

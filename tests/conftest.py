@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random circuits for fidelity tests, and
+"""Shared helpers: seeded random circuits for fidelity tests, a
+one-application-at-a-time reference for the l-fold hashing operator, and
 exhaustive searches for shortest simple covering walks and for the fewest
 revisits a covering walk of a given length can make."""
 
@@ -6,6 +7,7 @@ import math
 import random
 
 from cactusq.circuit_ir import Circuit
+from cactusq.hash_synth import construct_for_path
 
 
 def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:
@@ -42,6 +44,30 @@ def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:
             else:
                 c.swap(q, other)
     return c
+
+
+def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
+    """Append l hashing applications along `path` to `circuit`, building
+    every one afresh: forward and reverse in turn, each angle table read
+    from the logical qubit at each vertex (the occupancy is tracked across
+    applications), the lead control taken from the CRy `circuit` ends with,
+    and one `construct_for_path` call per application, which merges the
+    boundary rotation.  `angles` holds one angle per control, in vertex
+    order with the target `path.vertices[0]` left out.
+    """
+    controls = [v for v in range(g.n) if v != path.vertices[0]]
+    per_logical = dict(zip(controls, angles))
+    occ = list(range(g.n))  # occ[u] = logical qubit currently at vertex u
+    for i in range(l):
+        direction = "forward" if i % 2 == 0 else "reverse"
+        verts = path.vertices if i % 2 == 0 else path.vertices[::-1]
+        angle_map = {u: per_logical[occ[u]] for u in range(g.n) if u != verts[0]}
+        last = circuit.gates[-1] if circuit.gates else None
+        lead = last.qubits[0] if last is not None and last.kind == "CRy" else None
+        construct_for_path(g, path, angle_map, direction, lead_control=lead, circuit=circuit)
+        for cur, nxt in zip(verts, verts[1:]):
+            occ[cur], occ[nxt] = occ[nxt], occ[cur]
+    return circuit
 
 
 def shortest_simple_covering_walk(g, limit: int = 14):

@@ -1,8 +1,9 @@
 """Circuit IR tests: gate validation, device adjacency enforcement, the
 SWAP layout trace, composite decomposition with CR+SWAP fusion, CNOT
 cancellation, the one-pass CNOT count against the lowered circuit and the
-QASM text, cost reports, the QASM/JSON emitters, and a digest that pins
-the QASM text of a fixed corpus."""
+QASM text, cost reports, the QASM/JSON emitters, the QASM text of reused
+gates against a row-by-row formatter, and a digest that pins the QASM
+text of a fixed corpus."""
 
 import hashlib
 
@@ -259,6 +260,67 @@ class TestEmitters:
         c.cnot(0, 2)
         with pytest.raises(DeviceViolation):
             load_circuit(dump_circuit(c), device=line(3))
+
+
+def _qasm_row_by_row(c):
+    """The QASM text of `c`, formatted afresh for every lowered row."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
+    for g in decompose(c).gates:
+        q = g.qubits
+        if g.kind == "CNOT":
+            lines.append(f"cx q[{q[0]}],q[{q[1]}];")
+        elif g.theta is None:
+            lines.append(f"{g.kind.lower()} q[{q[0]}];")
+        else:
+            lines.append(f"{g.kind.lower()}({g.theta:.17g}) q[{q[0]}];")
+    return "\n".join(lines) + "\n"
+
+
+class TestQasmReuse:
+    # to_qasm formats each distinct (gate, fused) pair once; the text must
+    # still be what formatting every row gives
+    def test_signed_zero_angles(self):
+        # 0.0 == -0.0, yet they print as 0 and -0
+        c = Circuit(2, device=line(2))
+        for theta in (0.0, -0.0, 0.0, -0.0):
+            c.ry(0, theta)
+            c.cry(0, 1, theta)
+        text = to_qasm(c)
+        assert text == _qasm_row_by_row(c)
+        assert "ry(0) q[0];" in text and "ry(-0) q[0];" in text
+
+    def test_same_rotation_fused_and_unfused(self):
+        c = Circuit(3, device=line(3))
+        rot = Gate("CRy", (0, 1), theta=0.75)
+        for gate in (rot, Gate("SWAP", (1, 0)), rot, Gate("H", (1,)), rot,
+                     Gate("SWAP", (1, 2)), rot, Gate("SWAP", (0, 1))):
+            c.append(gate)
+        text = to_qasm(c)
+        assert text == _qasm_row_by_row(c)
+        assert _cx_lines(text) == cnot_cost(c) == 3 + 2 + 2 + 3 + 3
+
+    def test_repeated_identical_gates(self):
+        c = Circuit(3, device=line(3))
+        for _ in range(4):
+            c.crd(1, 2, 3)
+            c.swap(2, 1)
+            c.crz(0, 1, -1.25)
+            c.rk(2, 4)
+            c.cnot(1, 0)
+        assert to_qasm(c) == _qasm_row_by_row(c)
+
+    def test_replayed_hash_fold(self):
+        g = random_cactus(12, 3)
+        ks = tuple(range(1, g.n))
+        c = synthesize_hash(g, 6, HashParams.from_coefficients(17, 0.25, ks)).circuit
+        assert to_qasm(c) == _qasm_row_by_row(c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(0, 30))
+    def test_random_circuit_repeated(self, n, seed, length):
+        c = random_circuit(n, seed, length)
+        c.extend(list(c.gates) * 2)
+        assert to_qasm(c) == _qasm_row_by_row(c)
 
 
 class TestPinnedQasm:

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from cactusq.circuit_ir import cnot_cost, load_circuit
-from cactusq.cli import MAX_GEN_VERTICES, main
+from cactusq.cli import MAX_FOLDS, MAX_GEN_VERTICES, main
 from cactusq.families import fig3_cactus
 from cactusq.graph_core import dump_graph, graph_to_json_dict, load_graph, random_cactus
 
@@ -157,6 +157,17 @@ class TestCostAndGen:
         assert exc.value.code == 1
         assert capsys.readouterr().err == f"error: --n must be at most {MAX_GEN_VERTICES}\n"
 
+    @pytest.mark.parametrize("args", [
+        ["hash", "--graph", "fig3"],
+        ["cost", "--graph", "line1"],
+        ["verify", "--graph", "line3", "--what", "hash"],
+    ])
+    def test_fold_bound(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, f"--l={MAX_FOLDS + 1}"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: --l must be at most {MAX_FOLDS}\n"
+
     @pytest.mark.parametrize("args, message", [
         (("cost", "--graph", "line3", "--p", "1"), "modulus must be at least 2"),
         (("verify", "--graph", "line3", "--what", "hash", "--p", "1"),
@@ -254,7 +265,8 @@ class TestFuzz:
         # each range, and half the time its valid part, so jobs also succeed
         p=st.integers(-2, 40) | st.integers(2, 40),
         epsilon=st.floats(-1, 1) | st.floats(0.01, 0.49),
-        l=st.integers(-2, 4) | st.integers(1, 4),
+        # fold counts above the bound are rejected before any synthesis
+        l=st.integers(-2, 4) | st.integers(1, 4) | st.integers(MAX_FOLDS + 1, 10**18),
     )
     # found by this test: qft on two unjoined vertices ended in an internal
     # error, and a subnormal epsilon overflowed the fingerprint count

@@ -1,13 +1,16 @@
 """Hashing synthesis tests: the cost formula, single-application and
 l-fold circuits with boundary merges, semantics against the
-unconstrained reference, good-set search, and the MOD_p automaton."""
+unconstrained reference, the replayed fold against a one-application-at-
+a-time reference, good-set search, and the MOD_p automaton."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactusq.circuit_ir import cnot_cost
+from conftest import hash_fold_reference
+
+from cactusq.circuit_ir import Circuit, DeviceViolation, cnot_cost
 from cactusq.covering_path import solve_cactus
 from cactusq.families import chain_of_squares, cycle, fig3_cactus, line, star
 from cactusq.graph_core import Graph, random_cactus
@@ -74,6 +77,13 @@ class TestSingleApplication:
         with pytest.raises(PathNotCovering):
             construct_for_path(g, [2, 3], _flat_angles(g))
 
+    def test_device_checked_before_coverage(self):
+        # [0, 2] steps over a non-edge and leaves 3 and 4 uncovered; the
+        # device check fires first, as each gate is appended
+        g = line(5)
+        with pytest.raises(DeviceViolation):
+            construct_for_path(g, [0, 2], _flat_angles(g))
+
     def test_reverse_direction_same_cost(self):
         g = fig3_cactus()
         fwd = construct_for_path(g, solve_cactus(g), _flat_angles(g))
@@ -124,6 +134,56 @@ class TestSynthesizeHash:
     def test_rejects_bad_l(self):
         with pytest.raises(ValueError):
             synthesize_hash(line(3), 0, _params_for(3))
+
+
+def _gate_rows(c):
+    return [(x.kind, x.qubits, x.theta, x.d) for x in c.gates]
+
+
+def _automaton_reference(g, l, params):
+    """build_modp_automaton's H frame around `hash_fold_reference`."""
+    path = solve_cactus(g)
+    controls = [v for v in range(g.n) if v != path.vertices[0]]
+    c = Circuit(g.n, device=g)
+    for v in controls:
+        c.h(v)
+    hash_fold_reference(g, path, params.angles, l, c)
+    for v in controls:
+        c.h(c.final_permutation[v])
+    return c
+
+
+# the families collapse whole applications into merged boundary gates
+_REPLAY_GRAPHS = [
+    pytest.param(random_cactus(n, seed), id=f"random{n}-{seed}")
+    for n in range(2, 31) for seed in range(4)
+] + [pytest.param(g, id=name)
+     for name, g in [("line2", line(2)), ("star5", star(5)), ("fig3", fig3_cactus())]]
+
+
+class TestReplayedFold:
+    @pytest.mark.parametrize("g", _REPLAY_GRAPHS)
+    def test_matches_application_by_application(self, g):
+        params = _params_for(g.n)
+        path = solve_cactus(g)
+        for l in range(1, 8):
+            res = synthesize_hash(g, l, params)
+            ref = hash_fold_reference(g, path, params.angles, l, Circuit(g.n, device=g))
+            assert _gate_rows(res.circuit) == _gate_rows(ref)
+            assert res.circuit.final_permutation == ref.final_permutation
+            assert res.cost.cnot_count == cnot_cost(ref)
+            assert _gate_rows(build_modp_automaton(g, l, params)) == \
+                _gate_rows(_automaton_reference(g, l, params))
+
+    def test_applications_are_built_once(self):
+        # every application is one of at most three distinct gate lists
+        # (parity and lead control); only the l - 1 merged boundary
+        # rotations are new gates
+        g = random_cactus(60, 1)
+        l = 40
+        res = synthesize_hash(g, l, _params_for(g.n))
+        per_application = len(construct_for_path(g, res.path, _flat_angles(g)).gates)
+        assert len({id(x) for x in res.circuit.gates}) <= 3 * per_application + l - 1
 
 
 class TestSemantics:
