@@ -4,9 +4,11 @@
 For each size n the solver runs on `repeats` seeded random cacti and the
 best wall time is reported, together with the growth ratio between
 successive sizes.  The solver evaluates each block once per bridge
-direction, so doubling n about doubles the time: 1.7-2.2x per doubling
-from n = 100 to 1600 (0.005 s at n = 100, 0.08-0.09 s at n = 1600) on a
-2-vCPU VM under Python 3.11.
+direction and scores each root with one integer scan, so doubling n
+about doubles the time: 1.8-2.2x per doubling from n = 100 to 1600
+(0.002-0.003 s at n = 100, 0.03-0.05 s at n = 1600; three runs of
+`--sizes 100 200 400 800 1600 --repeats 5`) on a shared 2-vCPU VM under
+Python 3.11.
 
 Usage: python3 scripts/benchmark_scaling.py [--sizes 100 200 400] [--repeats 3]
 """

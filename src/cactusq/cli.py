@@ -11,7 +11,8 @@ to stderr.  Exit codes: 0 success, 1 validation or usage error (one
 `--graph` accepts a JSON file ({"n": int, "edges": [[u, v], ...]}) or,
 when no such file exists, a bundled family name: fig3, lineN, cycleN,
 starN, kN (complete), chain4xT (chain of T 4-cycles), with an optional
-.json suffix.
+.json suffix.  A graph of more than MAX_VERTICES vertices is refused
+before it is built.
 """
 
 from __future__ import annotations
@@ -69,9 +70,11 @@ _VALIDATION_ERRORS = (
     OSError,
 )
 
-# `gen` keeps every edge in memory before writing any, so a mistyped --n
-# would run until memory ran out; 10^5 vertices generate in well under 1 s
-MAX_GEN_VERTICES = 100_000
+# a graph builds a set per vertex, and `gen` keeps every edge, before
+# anything else happens, so a mistyped size would run until memory ran
+# out; 10^5 vertices generate in well under 1 s, and `path --graph
+# line100000` solves in about 300 MB
+MAX_VERTICES = 100_000
 
 # the circuit grows linearly in --l, so a mistyped fold count would run
 # until memory ran out; `hash --graph fig3 --l 100000 --emit qasm` takes
@@ -81,26 +84,35 @@ MAX_FOLDS = 100_000
 # click >= 8.2 raises this for a bare `cactusq`; its message is the help text
 _NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
+# (pattern, vertices, edges, build) of each sized family, from its number
 _FAMILY_PATTERNS = [
-    (re.compile(r"^fig3$"), lambda m: families.fig3_cactus()),
-    (re.compile(r"^line(\d+)$"), lambda m: families.line(int(m.group(1)))),
-    (re.compile(r"^cycle(\d+)$"), lambda m: families.cycle(int(m.group(1)))),
-    (re.compile(r"^star(\d+)$"), lambda m: families.star(int(m.group(1)))),
-    (re.compile(r"^k(\d+)$"), lambda m: families.complete(int(m.group(1)))),
-    (re.compile(r"^chain4x(\d+)$"), lambda m: families.chain_of_squares(int(m.group(1)))),
+    (re.compile(r"^line(\d+)$"), lambda k: k, lambda k: k - 1, families.line),
+    (re.compile(r"^cycle(\d+)$"), lambda k: k, lambda k: k, families.cycle),
+    (re.compile(r"^star(\d+)$"), lambda k: k, lambda k: k - 1, families.star),
+    (re.compile(r"^k(\d+)$"), lambda k: k, lambda k: k * (k - 1) // 2, families.complete),
+    (re.compile(r"^chain4x(\d+)$"), lambda k: 3 * k + 1, lambda k: 4 * k,
+     families.chain_of_squares),
 ]
 
 
 def _resolve_graph(spec: str) -> Graph:
     if os.path.exists(spec):
-        return load_graph(spec)
+        return load_graph(spec, max_n=MAX_VERTICES)
     name = os.path.basename(spec)
     if name.endswith(".json"):
         name = name[: -len(".json")]
-    for pattern, build in _FAMILY_PATTERNS:
+    if name == "fig3":
+        return families.fig3_cactus()
+    for pattern, vertices, edges, build in _FAMILY_PATTERNS:
         m = pattern.match(name)
         if m:
-            return build(m)
+            k = int(m.group(1))
+            if vertices(k) > MAX_VERTICES:
+                raise ValueError(f"{vertices(k)} vertices exceed the limit of {MAX_VERTICES}")
+            # the other families have under 2 edges per vertex; kN has N^2 / 2
+            if edges(k) > 2 * MAX_VERTICES:
+                raise ValueError(f"{edges(k)} edges exceed the limit of {2 * MAX_VERTICES}")
+            return build(k)
     raise ValueError(
         f"no file {spec!r} and no bundled family matches {name!r} "
         "(try fig3, lineN, cycleN, starN, kN, or chain4xT)"
@@ -170,8 +182,8 @@ def gen_cmd(n: int, seed: int, out: str | None) -> None:
     """Generate a seeded random cactus as graph JSON."""
     if n < 1:
         raise ValueError("--n must be at least 1")
-    if n > MAX_GEN_VERTICES:
-        raise ValueError(f"--n must be at most {MAX_GEN_VERTICES}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"--n must be at most {MAX_VERTICES}")
     g = random_cactus(n, seed)
     _print_json(graph_to_json_dict(g), out)
 

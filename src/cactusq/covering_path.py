@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import accumulate
+from operator import add, attrgetter
 
 from .graph_core import (
     BlockTree,
@@ -148,7 +149,7 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # ends the walk covers that part and returns (d_l), with 1 it may stop
 # inside it (d_p).  A root is the same step with 2 free ends: the walk
 # passes through the pivot and both of its ends are free.  A single-vertex
-# block has one pivot; a cycle root tries every position as the pivot.
+# block has one pivot; a cycle root may put it at any position.
 #
 # A neighbour contributes nothing (it is "skipped") exactly when it is a
 # single vertex with no other bridge: the visit next door already covers
@@ -162,15 +163,20 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # with that child left out, the parent's top-down contribution in, and the
 # pivot at the child's attach vertex.  Each root is then scored from its
 # neighbours' cached contributions; the first strict minimum in block
-# order wins, and its own record rebuilds the walk.
+# order wins, at its first best pivot, and its own record rebuilds the
+# walk.
 #
 # A step reads per-block arrays kept up to date as contributions arrive:
 # their closed costs summed, and at each position the two children with
 # the best savings (None where no neighbour attaches).  Leaving out `up`
-# touches only its own position, the pivot, which no arm reads.  A cycle step scores candidates
-# as integers, keeps the first minimum per count of free ends and builds
-# records for those alone.  A push asks for 0 and 1 free ends; a cycle
-# root runs the step once per pivot over the same arrays, asking for 2.
+# touches only its own position, the pivot, which no arm reads.  A cycle
+# step scores candidates as integers, keeps the first minimum per count of
+# free ends and builds records for those alone.  A push asks for 0 and 1
+# free ends.  Roots do not run the step to be scored: with both ends free
+# the pivot drops out of a walk's saving, which then depends only on where
+# the two ends are (see `cycle_root_value`), so each block's best root
+# value is one integer scan over its arcs.  Only the winning root runs the
+# step, once, at its first pivot that reaches that value, for its record.
 #
 # Every record has one shape, (pivot, mode, end1, end2).  The mode is
 # ("vertex",), ("perim",) (once around the cycle) or ("chain", j, a, b)
@@ -369,6 +375,83 @@ def dp_cycle(top_at: list, perim: int, closed: int, entry: int, at_entry: list,
     return out
 
 
+# A cycle root has both ends free, and then a walk's saving depends on
+# where its ends are, not on the pivot.  Every candidate of `dp_cycle` walks
+# an arc out and back: the cycle less one edge, or less a run of one or
+# two neighbourless positions (`_SHORTFALLS`), at `step` per arc edge.  Ends
+# at arc positions u < w save (w - u) * back + c(u) + c(w), c the best child
+# saving at a position (0 if none); both ends in the children of one
+# position p save d(p), its two best child savings summed.  So a pivot's
+# value is closed + min(perim - d(p), over the arcs A through p of
+# len(A) * step - the best such saving with u <= p <= w), and the least
+# over all pivots needs no pivot at all.
+
+
+def _root_terms(top_at: list):
+    """What a cycle root reads of its children, as integers: c and d per
+    position, and the (s, r) runs of s neighbourless positions from r that
+    an arc may leave out."""
+    c = [top[0].saving if top else 0 for top in top_at]
+    d = [sum(x.saving for x in top) if top else 0 for top in top_at]
+    t = len(top_at)
+    runs = [(s, r) for r in range(t) if top_at[r] is None
+            for s in (1, 2) if s == 1 or top_at[(r + 1) % t] is None]
+    return c, d, runs
+
+
+def cycle_root_value(top_at: list, perim: int, closed: int, unit: int) -> int:
+    """The least of `cycle_root_values`: the best walk of each arc is its
+    best pair of ends, or two ends in the children of one position."""
+    t = len(top_at)
+    back, step = unit + 1, 2 * unit + 1
+    c, d, runs = _root_terms(top_at)
+    both = max(d)
+    ring = c + c
+    # on the doubled ring, ends at u < w save lo[u] + hi[w]
+    lo = [x - i * back for i, x in enumerate(ring)]
+    hi = [x + i * back for i, x in enumerate(ring)]
+
+    def pair(first: int, last: int) -> int:
+        """Best saving of two ends at first <= u < w <= last."""
+        return max(map(add, accumulate(lo[first:last], max), hi[first + 1:last + 1]),
+                   default=0)
+
+    # the arcs less one edge hold every ordered pair of positions: u < w
+    # within 0..t-1, and u > w, whose walk passes t - 1 on its way to w
+    wrap = max(map(add, accumulate(hi[t:2 * t - 1], max), lo[1:t]))
+    value = min(perim - both, (t - 1) * step - max(pair(0, t - 1), wrap, both))
+    for s, r in runs:
+        value = min(value, (t - 1 - s) * step - max(pair(r + s, r + t - 1), both))
+    return closed + value
+
+
+def cycle_root_values(top_at: list, perim: int, closed: int, unit: int):
+    """Yield, in pivot order, each pivot's value as a cycle root with both
+    ends free: `dp_cycle`'s value for 2 free ends, from integers alone."""
+    t = len(top_at)
+    back, step = unit + 1, 2 * unit + 1
+    c, d, runs = _root_terms(top_at)
+    ring = c + c
+    depths = range(back, t * back, back)
+    for p in range(t):
+        # seen from p the other positions are p + 1 .. p + t - 1; an arc
+        # leaves out the edge or run after the k-th of them, so its right
+        # arm holds the first k and its left arm the rest: right[k] is the
+        # best end among the first k, left[k] among those after the k-th
+        arm = ring[p + 1:p + t]
+        right = [0, *accumulate(map(add, arm, depths), max)]
+        left = [*accumulate(map(add, reversed(arm), depths), max)][::-1] + [0]
+        c_p, d_p = c[p], d[p]
+        ends = max(max(map(add, right, left)), max(right[-1], left[0]) + c_p, d_p)
+        value = min(perim - d_p, (t - 1) * step - ends)
+        for s, r in runs:
+            k = (r - p) % t - 1
+            if k >= 0 and k + s < t:
+                a, b = right[k], left[k + s]
+                value = min(value, (t - 1 - s) * step - max(a + b, max(a, b) + c_p, d_p))
+        yield closed + value
+
+
 _order_key = attrgetter("entry", "block")
 
 
@@ -473,15 +556,18 @@ class _Rerooted:
             top.insert(i, c)
             del top[2:]
 
-    def root_walk(self, r: int):
-        """Minimum open-walk value with block r as root and both ends free,
-        plus its record: the first strict minimum in pivot order."""
-        best = None
-        for pivot in range(len(self.bt.blocks[r][1])):
-            (value, record), = self._step(r, None, pivot, (2,))
-            if best is None or value < best[0]:
-                best = (value, record)
-        return best
+    def root_value(self, b: int) -> int:
+        """Block b's least value as the root with both ends free."""
+        if self.bt.blocks[b][0] == "vertex":
+            return self.closed[b] - sum(c.saving for c in self.top_at[b][0] or ())
+        return cycle_root_value(self.top_at[b], self.perim[b], self.closed[b], self.unit)
+
+    def pivot_values(self, b: int):
+        """The value of `_step(b, None, pivot, (2,))` for each pivot of
+        block b, in pivot order (lazily for a cycle)."""
+        if self.bt.blocks[b][0] == "vertex":
+            return [self.root_value(b)]
+        return cycle_root_values(self.top_at[b], self.perim[b], self.closed[b], self.unit)
 
     # -- reconstruction ----------------------------------------------------
     # Item lists mix vertices with (free ends, block, up) tokens: walk
@@ -575,14 +661,17 @@ class _Rerooted:
 
 def solve_root_choices(tvc: WeightedVertexCactus, bt: BlockTree):
     """Score every block as the root from one rerooted DP; return (folded
-    value, DP, root, record) of the first best root in block order."""
+    value, DP, root, record) of the first best root in block order.  Only
+    that root runs the step, once, at its first best pivot."""
     dp = _Rerooted(tvc, bt)
-    best = None
-    for root in range(bt.n_blocks):
-        value, record = dp.root_walk(root)
-        if best is None or value < best[0]:
-            best = (value, root, record)
-    return best[0], dp, best[1], best[2]
+    values = [dp.root_value(b) for b in range(bt.n_blocks)]
+    value = min(values)
+    root = values.index(value)
+    pivot = next((p for p, v in enumerate(dp.pivot_values(root)) if v == value), None)
+    assert pivot is not None, "no pivot reaches the root's value"
+    (check, record), = dp._step(root, None, pivot, (2,))
+    assert check == value, "root value drifted from the DP step"
+    return value, dp, root, record
 
 
 def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:

@@ -320,13 +320,17 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
-def graph_from_json_dict(data) -> Graph:
+def graph_from_json_dict(data, max_n: int | None = None) -> Graph:
+    """The graph of a graph JSON object; with `max_n`, a larger "n" is
+    refused before any vertex is built."""
     if not isinstance(data, dict):
         raise GraphFormatError("graph JSON must be an object")
     if set(data) != {"n", "edges"}:
         raise GraphFormatError('graph JSON must have exactly "n" and "edges"')
     if not isinstance(data["n"], int) or isinstance(data["n"], bool):
         raise GraphFormatError('"n" must be an integer')
+    if max_n is not None and data["n"] > max_n:
+        raise GraphFormatError(f"{data['n']} vertices exceed the limit of {max_n}")
     if not isinstance(data["edges"], list):
         raise GraphFormatError('"edges" must be a list')
     for e in data["edges"]:
@@ -339,13 +343,13 @@ def graph_from_json_dict(data) -> Graph:
     return Graph.from_edges(data["n"], data["edges"])
 
 
-def load_graph(path: str) -> Graph:
+def load_graph(path: str, max_n: int | None = None) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_dict(data)
+    return graph_from_json_dict(data, max_n)
 
 
 def dump_graph(g: Graph, path: str) -> None:

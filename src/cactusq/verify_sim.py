@@ -30,6 +30,9 @@ from .graph_core import Graph
 
 MAX_QUBITS = 12
 
+# entries of v compared per block of columns in equiv_up_to_permutation
+_COMPARE_ENTRIES = 1 << 16
+
 
 class TooManyQubits(Exception):
     """Dense simulation is capped at MAX_QUBITS qubits."""
@@ -159,28 +162,31 @@ def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray, perm=None,
                             tol: float = 1e-9) -> tuple[bool, float]:
     """Is u = e^{i phi} P(perm) v?  Returns (verdict, max deviation).
 
-    `perm[q]` is the wire where logical qubit q of v ends up; the global
-    phase is estimated from u's largest-magnitude entry.
+    `perm[q]` is the wire where logical qubit q of v ends up.  The global
+    phase is estimated from the largest entry of u's first column, which a
+    unitary's unit-norm column keeps at 2^(-n/2) or more.  Rows of v are
+    gathered through the permutation a block of columns at a time, so no
+    full-size temporary is built.
     """
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    n = int(round(math.log2(u.shape[0])))
-    if perm is None:
-        pv = v
-    else:
-        ymap = permutation_vector(perm, n)
-        pv = np.empty(v.shape, dtype=complex)
-        pv[ymap, :] = v
-    idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    denom = pv[idx]
-    if abs(denom) < 1e-12:
-        return False, float(np.max(np.abs(u - pv)))
-    phase = u[idx] / denom
+    dim = u.shape[0]
+    # row y of P v is row rows[y] of v
+    rows = np.arange(dim)
+    if perm is not None:
+        rows[permutation_vector(perm, int(round(math.log2(dim))))] = np.arange(dim)
+    pivot = int(np.argmax(np.abs(u[:, 0])))
+    denom = v[rows[pivot], 0]
+    phase = complex(1.0 if abs(denom) < 1e-12 else u[pivot, 0] / denom)
     phase /= abs(phase)
-    # e^{i phi} P v - u in one full-size array: pv itself when it is a copy
-    diff = np.multiply(pv, phase, out=None if pv is v else pv)
-    diff -= u
-    deviation = float(np.max(np.abs(diff)))
+    deviation = 0.0
+    width = max(1, _COMPARE_ENTRIES // dim)
+    for c in range(0, dim, width):
+        block = v[rows, c:c + width] * phase
+        block -= u[:, c:c + width]
+        deviation = max(deviation, float(np.max(np.abs(block))))
+    if abs(denom) < 1e-12:
+        return False, deviation
     return deviation <= tol, deviation
 
 

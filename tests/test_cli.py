@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from cactusq.circuit_ir import cnot_cost, load_circuit
-from cactusq.cli import MAX_FOLDS, MAX_GEN_VERTICES, main
+from cactusq.cli import MAX_FOLDS, MAX_VERTICES, main
 from cactusq.families import fig3_cactus
 from cactusq.graph_core import dump_graph, graph_to_json_dict, load_graph, random_cactus
 
@@ -153,9 +153,26 @@ class TestCostAndGen:
 
     def test_gen_size_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["gen", f"--n={MAX_GEN_VERTICES + 1}"])
+            main(["gen", f"--n={MAX_VERTICES + 1}"])
         assert exc.value.code == 1
-        assert capsys.readouterr().err == f"error: --n must be at most {MAX_GEN_VERTICES}\n"
+        assert capsys.readouterr().err == f"error: --n must be at most {MAX_VERTICES}\n"
+
+    # refused before any vertex is built: each would otherwise run until
+    # memory ran out
+    @pytest.mark.parametrize("graph, message", [
+        ("line100000000", f"100000000 vertices exceed the limit of {MAX_VERTICES}"),
+        ("k100000", f"4999950000 edges exceed the limit of {2 * MAX_VERTICES}"),
+        (None, f"1000000000 vertices exceed the limit of {MAX_VERTICES}"),
+    ])
+    def test_graph_size_bound(self, capsys, tmp_path, graph, message):
+        if graph is None:
+            graph = str(tmp_path / "huge.json")
+            with open(graph, "w", encoding="utf-8") as fh:
+                json.dump({"n": 10**9, "edges": []}, fh)
+        with pytest.raises(SystemExit) as exc:
+            main(["path", "--graph", graph])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("args", [
         ["hash", "--graph", "fig3"],
@@ -291,7 +308,7 @@ class TestFuzz:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     # sizes above the bound are rejected before any graph is generated
-    @given(n=st.integers(-3, 40) | st.integers(MAX_GEN_VERTICES + 1, 10**18),
+    @given(n=st.integers(-3, 40) | st.integers(MAX_VERTICES + 1, 10**18),
            seed=st.integers(-10**12, 10**12))
     def test_gen_exit_zero_or_one_line_error(self, capsys, n, seed):
         _run_fuzzed(capsys, ["gen", f"--n={n}", f"--seed={seed}"])

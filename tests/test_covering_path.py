@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from conftest import fewest_revisits, shortest_simple_covering_walk
 
+from cactusq import covering_path
 from cactusq.covering_path import (
     CoveringPath,
     TooLarge,
     _Rerooted,
+    _root_terms,
     brute_force_oracle,
     brute_force_visit_all,
     solve_cactus,
+    solve_root_choices,
 )
 from cactusq.families import chain_of_squares, cycle, fig3_cactus, line, star
 from cactusq.graph_core import (
@@ -60,6 +63,31 @@ def flower(petals, size):
         ring = [0] + [1 + p * (size - 1) + i for i in range(size - 1)]
         edges += list(zip(ring, ring[1:] + ring[:1]))
     return Graph.from_edges(1 + petals * (size - 1), edges)
+
+
+def cycle_with_attachments(t, seed):
+    """A t-cycle where each position gets nothing (about half of them, so
+    runs of neighbourless positions occur), a pendant, a path of two, or a
+    3..5-cycle, some with a pendant of their own."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % t) for i in range(t)]
+    n = t
+    for at in range(t):
+        kind = rng.choice(["none", "none", "none", "pendant", "path", "cycle"])
+        if kind == "pendant":
+            edges.append((at, n))
+            n += 1
+        elif kind == "path":
+            edges += [(at, n), (n, n + 1)]
+            n += 2
+        elif kind == "cycle":
+            ring = [at] + list(range(n, n + rng.randint(2, 4)))
+            n = ring[-1] + 1
+            edges += list(zip(ring, ring[1:] + ring[:1]))
+            if rng.random() < 0.5:
+                edges.append((ring[-1], n))
+                n += 1
+    return Graph.from_edges(n, edges)
 
 
 def cycle_with_subtrees(t, extra, seed):
@@ -234,6 +262,54 @@ class TestRerooting:
             other = _Rerooted(tvc, bt, start)
             assert other.into == ref.into, start
             assert other.choice == ref.choice, start
+
+
+class TestRootValues:
+    # A root's value is scored from integers alone; the DP step stays the
+    # reference.  Every pivot of every block must get the step's value for
+    # 2 free ends, and each block's value must be the least of them.
+    @staticmethod
+    def corpus():
+        for cycle_prob in (0.2, 0.45, 0.85):
+            for n in range(2, 41):
+                for seed in range(4):
+                    yield random_cactus(n, seed, cycle_prob)
+        for t in range(3, 61):
+            for seed in range(3):
+                yield cycle_with_attachments(t, seed)
+
+    def test_every_pivot_matches_the_step(self):
+        runs = set()
+        for g in self.corpus():
+            if g.n < 2:
+                continue
+            tvc = build_vertex_cactus(g, validate_cactus(g))
+            bt = build_block_tree(tvc)
+            dp = _Rerooted(tvc, bt)
+            for b, (kind, verts) in enumerate(bt.blocks):
+                step = [dp._step(b, None, p, (2,))[0][0] for p in range(len(verts))]
+                assert list(dp.pivot_values(b)) == step, (g.n, g.edges(), b)
+                assert dp.root_value(b) == min(step), (g.n, g.edges(), b)
+                if kind == "cycle":
+                    runs.update(s for s, _ in _root_terms(dp.top_at[b])[2])
+        # arcs that leave out one and two neighbourless positions were tried
+        assert runs == {1, 2}
+
+    def test_one_root_step_per_solve(self, monkeypatch):
+        # every bridge direction runs the step once, and of all the roots
+        # only the winner does
+        calls = []
+        for name in ("dp_cycle", "dp_single_vertex"):
+            step = getattr(covering_path, name)
+            monkeypatch.setattr(covering_path, name,
+                                lambda *args, _step=step: calls.append(1) or _step(*args))
+        for g in (random_cactus(60, 3), cycle_with_attachments(30, 1), spider(5, 4),
+                  cycle_with_pendants(12)):
+            tvc = build_vertex_cactus(g, validate_cactus(g))
+            bt = build_block_tree(tvc)
+            calls.clear()
+            solve_root_choices(tvc, bt)
+            assert len(calls) == 2 * (bt.n_blocks - 1) + 1
 
 
 class TestDeepBlockTrees:

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import random_circuit
 
+from cactusq import verify_sim
 from cactusq.circuit_ir import Circuit, Gate
 from cactusq.families import star
+from cactusq.graph_core import random_cactus
 from cactusq.hash_synth import HashParams
+from cactusq.qft_synth import synthesize_qft
 from cactusq.verify_sim import (
     MAX_QUBITS,
     TooManyQubits,
@@ -209,6 +212,22 @@ class TestSimulator:
         assert is_unitary(unitary_of(random_circuit(n, seed)))
 
 
+def scatter_equiv(u, v, perm=None, tol=1e-9):
+    """Reference for equiv_up_to_permutation: scatter a full permuted copy
+    of v and take the phase from u's largest entry anywhere."""
+    n = int(round(math.log2(u.shape[0])))
+    pv = v
+    if perm is not None:
+        pv = np.empty(v.shape, dtype=complex)
+        pv[permutation_vector(perm, n), :] = v
+    idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+    if abs(pv[idx]) < 1e-12:
+        return False, float(np.max(np.abs(u - pv)))
+    phase = u[idx] / pv[idx]
+    deviation = float(np.max(np.abs(pv * (phase / abs(phase)) - u)))
+    return deviation <= tol, deviation
+
+
 class TestEquivalence:
     def test_identity_case(self):
         u = unitary_of(random_circuit(3, 1))
@@ -243,6 +262,49 @@ class TestEquivalence:
         c.swap(0, 1)
         ok, _ = equiv_up_to_permutation(unitary_of(c), np.eye(4), perm=(1, 0))
         assert ok
+
+    @staticmethod
+    def cases():
+        """(u, v, perm) triples, equivalent or not."""
+        for n in range(1, 7):
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                perm = tuple(int(q) for q in rng.permutation(n))
+                u = unitary_of(random_circuit(n, seed))
+                # u = e^{i phi} P v exactly
+                v = (u * np.exp(-1.3j * seed))[permutation_vector(perm, n)]
+                yield u, v, perm
+                yield u, v, tuple(reversed(perm))
+                bumped = v.copy()
+                bumped[rng.integers(2 ** n), rng.integers(2 ** n)] += 1e-3
+                yield u, bumped, perm
+                yield u, unitary_of(random_circuit(n, seed + 50)), None
+        for n in (5, 7):
+            circuit, rep = synthesize_qft(random_cactus(n, 1))
+            yield (unitary_of(circuit), qft_reference_unitary(rep.parameters["S"]),
+                   circuit.final_permutation)
+
+    @pytest.mark.parametrize("entries", [None, 8, 24])
+    def test_blocks_agree_with_the_scatter_oracle(self, entries, monkeypatch):
+        # blocks of one, a few, and (by default) all columns.  The two pick
+        # their phase pivots differently, so on pairs that are not
+        # equivalent only the verdicts must agree
+        if entries is not None:
+            monkeypatch.setattr(verify_sim, "_COMPARE_ENTRIES", entries)
+        verdicts = set()
+        for u, v, perm in self.cases():
+            ok, dev = equiv_up_to_permutation(u, v, perm=perm)
+            ref_ok, ref_dev = scatter_equiv(u, v, perm=perm)
+            assert ok == ref_ok
+            if ok:
+                assert abs(dev - ref_dev) <= 1e-12
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_pivot_on_a_zero_compares_without_phase(self):
+        # u's phase pivot meets a zero entry of P v
+        u, v = np.eye(4), np.eye(4)[[1, 0, 3, 2]]
+        assert equiv_up_to_permutation(u, v) == scatter_equiv(u, v) == (False, 1.0)
 
 
 class TestQftReferences:
