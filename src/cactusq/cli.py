@@ -84,14 +84,13 @@ MAX_FOLDS = 100_000
 # click >= 8.2 raises this for a bare `cactusq`; its message is the help text
 _NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
-# (pattern, vertices, edges, build) of each sized family, from its number
+# (pattern, vertices, build) of each sized family, from its number
 _FAMILY_PATTERNS = [
-    (re.compile(r"^line(\d+)$"), lambda k: k, lambda k: k - 1, families.line),
-    (re.compile(r"^cycle(\d+)$"), lambda k: k, lambda k: k, families.cycle),
-    (re.compile(r"^star(\d+)$"), lambda k: k, lambda k: k - 1, families.star),
-    (re.compile(r"^k(\d+)$"), lambda k: k, lambda k: k * (k - 1) // 2, families.complete),
-    (re.compile(r"^chain4x(\d+)$"), lambda k: 3 * k + 1, lambda k: 4 * k,
-     families.chain_of_squares),
+    (re.compile(r"^line(\d+)$"), lambda k: k, families.line),
+    (re.compile(r"^cycle(\d+)$"), lambda k: k, families.cycle),
+    (re.compile(r"^star(\d+)$"), lambda k: k, families.star),
+    (re.compile(r"^k(\d+)$"), lambda k: k, families.complete),
+    (re.compile(r"^chain4x(\d+)$"), lambda k: 3 * k + 1, families.chain_of_squares),
 ]
 
 
@@ -103,15 +102,16 @@ def _resolve_graph(spec: str) -> Graph:
         name = name[: -len(".json")]
     if name == "fig3":
         return families.fig3_cactus()
-    for pattern, vertices, edges, build in _FAMILY_PATTERNS:
+    for pattern, vertices, build in _FAMILY_PATTERNS:
         m = pattern.match(name)
         if m:
             k = int(m.group(1))
             if vertices(k) > MAX_VERTICES:
                 raise ValueError(f"{vertices(k)} vertices exceed the limit of {MAX_VERTICES}")
             # the other families have under 2 edges per vertex; kN has N^2 / 2
-            if edges(k) > 2 * MAX_VERTICES:
-                raise ValueError(f"{edges(k)} edges exceed the limit of {2 * MAX_VERTICES}")
+            edges = k * (k - 1) // 2
+            if build is families.complete and edges > 2 * MAX_VERTICES:
+                raise ValueError(f"{edges} edges exceed the limit of {2 * MAX_VERTICES}")
             return build(k)
     raise ValueError(
         f"no file {spec!r} and no bundled family matches {name!r} "

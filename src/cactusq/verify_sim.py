@@ -164,7 +164,9 @@ def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray, perm=None,
 
     `perm[q]` is the wire where logical qubit q of v ends up.  The global
     phase is estimated from the largest entry of u's first column, which a
-    unitary's unit-norm column keeps at 2^(-n/2) or more.  Rows of v are
+    unitary's unit-norm column keeps at 2^(-n/2) or more.  Where that entry
+    or its match in P v vanishes the phase is taken as 1: the match then
+    leaves a deviation of at least that entry.  Rows of v are
     gathered through the permutation a block of columns at a time, so no
     full-size temporary is built.
     """
@@ -177,16 +179,16 @@ def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray, perm=None,
         rows[permutation_vector(perm, int(round(math.log2(dim))))] = np.arange(dim)
     pivot = int(np.argmax(np.abs(u[:, 0])))
     denom = v[rows[pivot], 0]
-    phase = complex(1.0 if abs(denom) < 1e-12 else u[pivot, 0] / denom)
-    phase /= abs(phase)
+    phase = 1 + 0j
+    if min(abs(denom), abs(u[pivot, 0])) >= 1e-12:
+        phase = u[pivot, 0] / denom
+        phase /= abs(phase)
     deviation = 0.0
     width = max(1, _COMPARE_ENTRIES // dim)
     for c in range(0, dim, width):
         block = v[rows, c:c + width] * phase
         block -= u[:, c:c + width]
         deviation = max(deviation, float(np.max(np.abs(block))))
-    if abs(denom) < 1e-12:
-        return False, deviation
     return deviation <= tol, deviation
 
 

@@ -306,6 +306,14 @@ class TestEquivalence:
         u, v = np.eye(4), np.eye(4)[[1, 0, 3, 2]]
         assert equiv_up_to_permutation(u, v) == scatter_equiv(u, v) == (False, 1.0)
 
+    def test_vanishing_first_column_compares_without_phase(self):
+        # u is not unitary: its first column, the phase pivot's, is all zero
+        u = np.diag([0, 1, 1, 1]).astype(complex)
+        assert equiv_up_to_permutation(u, u) == (True, 0.0)
+        assert equiv_up_to_permutation(u, np.eye(4)) == (False, 1.0)
+        ok, dev = equiv_up_to_permutation(u, -u)
+        assert not ok and dev == pytest.approx(2.0)
+
 
 class TestQftReferences:
     def test_qft_matrix_2(self):
