@@ -3,6 +3,8 @@
 A walk P 1-covers G when every vertex is on P or adjacent to a vertex of
 P.  `solve_cactus` finds a minimum-length such walk in polynomial time by
 a dynamic program over the block tree of the weighted vertex cactus;
+`CactusSolver` keeps that program up to date as pendant vertices are
+removed, for graphs that shrink a vertex at a time (the QFT stages).
 `brute_force_oracle` is the exponential BFS reference used to validate it.
 Among the shortest covering walks the DP prefers the one with the fewest
 revisits (the most distinct vertices), so it returns a simple walk
@@ -197,6 +199,19 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # length first and break length ties towards fewer revisits.  A revisit in
 # the vertex cactus is a revisit of the original graph: copies of a vertex
 # are joined only through weight-0 bridges, which the walk has to cross.
+#
+# The tables outlive a solve.  Removing a pendant vertex deletes a leaf
+# block and its bridge (`_Rerooted.remove_leaf`): the neighbour's top_at
+# is ranked again at the attach position, and goes back to None when no
+# neighbour is left there.  Only the contributions that point away from
+# the leaf can change.  They are recomputed outwards, and a branch stops
+# at the first one whose closed cost, saving and skip come out as before.
+# The blocks that took a changed one are scored again as roots.  The
+# tables then equal a fresh build's on the blocks left, except for the
+# fold: `unit` is the first build's, and every step, root scan and walk
+# decoding takes it as an argument from the tables.  It exceeds twice the
+# edge count of every smaller graph too, so it orders walks just as the
+# fresh build's smaller unit does.
 # ---------------------------------------------------------------------------
 
 
@@ -214,6 +229,8 @@ class ChildContribution:
     closed_cost: int
     saving: int
     skipped: bool
+    # the block's records for 0 and 1 free ends, as seen from across the bridge
+    records: tuple
 
 
 def _top_ends(options, ends: int) -> list:
@@ -458,20 +475,22 @@ def cycle_root_values(top_at: list, perim: int, closed: int, unit: int):
 
 
 _order_key = attrgetter("entry", "block")
+# all that the block a contribution is handed to reads of it
+_read_on = attrgetter("closed_cost", "saving", "skipped")
 
 
 class _Rerooted:
     """DP values of every block as seen across each of its bridges.  The
-    two passes start from block `start`; every start gives the same tables."""
+    two passes start from block `start`; every start gives the same tables.
+    `remove_leaf` keeps them up to date as leaf blocks are deleted."""
 
     def __init__(self, tvc: WeightedVertexCactus, bt: BlockTree, start: int = 0):
         self.bt = bt
         self.unit = sum(len(a) for a in tvc.adjacency) + 1  # the fold's step weight
         # into[b]: each neighbour's contribution seen from b, in _order_key order
         self.into: list[list[ChildContribution]] = [[] for _ in bt.blocks]
-        # choice[b][towards]: records of b seen from its neighbour `towards`,
-        # indexed by free ends (0 or 1)
-        self.choice: list[dict[int, tuple]] = [{} for _ in bt.blocks]
+        # handed[b][towards]: the contribution b handed its neighbour `towards`
+        self.handed: list[dict[int, ChildContribution]] = [{} for _ in bt.blocks]
         # what the step of each block reads of its neighbours' contributions,
         # kept up to date as they arrive: closed[b], the sum of their closed
         # costs, and top_at[b][p], the two with the best positive savings at
@@ -507,6 +526,8 @@ class _Rerooted:
         for into in self.into:
             if len(into) > 1:
                 into.sort(key=_order_key)
+        # each block's least value as the root, None once it is removed
+        self.value: list[int | None] = [self.root_value(b) for b in range(bt.n_blocks)]
 
     def _by_position(self, b: int, up: int | None) -> dict[int, list[ChildContribution]]:
         """The neighbours of b other than `up` that must be entered, by
@@ -535,15 +556,15 @@ class _Rerooted:
         as a child contribution; `seen` is what `towards` handed b."""
         w, own, e_pos = self.bridge[b][towards]
         (d_l, closed), (d_p, open_) = self._step(b, seen, e_pos, (0, 1))
-        self.choice[b][towards] = (closed, open_)
         out, back = self.unit, self.unit + 1
-        c = ChildContribution(
+        c = self.handed[b][towards] = ChildContribution(
             block=b,
             entry=own,
             # over the bridge onto a new vertex, back as a revisit
             closed_cost=d_l + w * (out + back),
             saving=d_l - d_p + w * back,
             skipped=self.bt.blocks[b][0] == "vertex" and len(self.bridge[b]) == 1,
+            records=(closed, open_),
         )
         self.into[towards].append(c)
         tops = self.top_at[towards]
@@ -560,6 +581,64 @@ class _Rerooted:
         if i < 2 and c.saving > 0:
             top.insert(i, c)
             del top[2:]
+
+    def _drop(self, b: int, towards: int) -> int:
+        """Take the contribution b handed `towards` out of towards' tables
+        and return where it stood in into[towards].  top_at at its position
+        is ranked again if it was there, and is None if no neighbour is
+        left there."""
+        old = self.handed[b].pop(towards)
+        into = self.into[towards]
+        i = next(i for i, c in enumerate(into) if c is old)
+        del into[i]
+        if not old.skipped:
+            self.closed[towards] -= old.closed_cost
+        where = self.bridge[towards]
+        p = where[b][2]
+        at_p = [c for c in into if where[c.block][2] == p]
+        tops = self.top_at[towards]
+        if not at_p:
+            tops[p] = None
+        elif any(c is old for c in tops[p]):
+            tops[p] = sorted((c for c in at_p if not c.skipped and c.saving > 0),
+                             key=lambda c: (-c.saving, _order_key(c)))[:2]
+        return i
+
+    def remove_leaf(self, leaf: int) -> None:
+        """Delete leaf block `leaf` and its bridge, and bring the tables of
+        the blocks left to what a fresh build on them would hold.
+
+        Only the contributions that point away from the leaf change.  They
+        are recomputed outwards from its neighbour, and a branch stops at
+        the first one whose (closed_cost, saving, skipped) comes out as it
+        was: what lies beyond reads nothing else of it.  The blocks that
+        lost or took a changed contribution are scored again as roots."""
+        (attach,) = self.bridge[leaf]
+        gone, p = self.handed[leaf][attach], self.bridge[attach][leaf][2]
+        self._drop(leaf, attach)
+        del self.bridge[attach][leaf], self.handed[attach][leaf]
+        self.bridge[leaf], self.handed[leaf], self.into[leaf], self.top_at[leaf] = {}, {}, [], []
+        self.value[leaf] = None
+        if (gone.skipped and self.top_at[attach][p] is not None
+                and (self.bt.blocks[attach][0] == "cycle" or len(self.bridge[attach]) > 1)):
+            # of a skipped leaf its neighbour reads only that position p
+            # has a neighbour, and p still has one; nor does it turn into
+            # a skipped leaf itself: its tables read as before
+            return
+        changed = [attach]
+        queue = [(attach, towards) for towards in self.bridge[attach]]
+        for b, towards in queue:
+            old = self.handed[b][towards]
+            i = self._drop(b, towards)
+            self._push(b, towards, self.handed[towards][b])
+            into = self.into[towards]
+            into.insert(i, into.pop())
+            new = into[i]
+            if _read_on(new) != _read_on(old):
+                changed.append(towards)
+                queue += [(towards, other) for other in self.bridge[towards] if other != b]
+        for b in changed:
+            self.value[b] = self.root_value(b)
 
     def root_value(self, b: int) -> int:
         """Block b's least value as the root with both ends free."""
@@ -589,7 +668,7 @@ class _Rerooted:
             else:
                 ends, b, up = item
                 # a bridge record pins end1 to the pivot: its head is empty
-                _, rest = self._items(b, up, self.choice[b][up][ends])
+                _, rest = self._items(b, up, self.handed[b][up].records[ends])
                 stack.extend(reversed(rest))
         return walk
 
@@ -664,19 +743,17 @@ class _Rerooted:
         return self._expand(head)[::-1] + self._expand(rest)
 
 
-def solve_root_choices(tvc: WeightedVertexCactus, bt: BlockTree):
-    """Score every block as the root from one rerooted DP; return (folded
-    value, DP, root, record) of the first best root in block order.  Only
-    that root runs the step, once, at its first best pivot."""
-    dp = _Rerooted(tvc, bt)
-    values = [dp.root_value(b) for b in range(bt.n_blocks)]
-    value = min(values)
-    root = values.index(value)
+def solve_root_choices(dp: _Rerooted):
+    """(folded value, root, record) of the first best root in block order,
+    from the root values `dp` keeps.  Only that root runs the step, once,
+    at its first best pivot."""
+    value = min(v for v in dp.value if v is not None)
+    root = dp.value.index(value)
     pivot = next((p for p, v in enumerate(dp.pivot_values(root)) if v == value), None)
     assert pivot is not None, "no pivot reaches the root's value"
     (check, record), = dp._step(root, None, pivot, (2,))
     assert check == value, "root value drifted from the DP step"
-    return value, dp, root, record
+    return value, root, record
 
 
 def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
@@ -691,6 +768,74 @@ def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
     return total
 
 
+class CactusSolver:
+    """The covering-walk DP of a connected cactus, built once and kept up
+    to date as pendant vertices are removed from it.
+
+    A pendant removed in place leaves the numbering a fresh build on the
+    vertices left would give, in relative order: vertex ids, copy ids and
+    block ids, and the cycles with their listings and hubs.  Those orders
+    are the solver's only tie-breaks, so `walk` returns the fresh build's
+    walk.  The fold's `unit` stays the one of the first build.  It is
+    larger than a fresh build's and orders any two candidate walks the
+    same way, since every candidate makes fewer revisits than either unit.
+    """
+
+    def __init__(self, g: Graph):
+        decomp = validate_cactus(g)
+        self.g = g
+        self.tvc = build_vertex_cactus(g, decomp)
+        self.bt = build_block_tree(self.tvc)
+        self.dp = _Rerooted(self.tvc, self.bt)
+        self.removed: set[int] = set()
+        self.first = 0  # the least vertex left, where validate_cactus starts its DFS
+        self.blocks = self.bt.n_blocks  # blocks left
+
+    def remove_pendant(self, v: int) -> bool:
+        """Remove vertex v in place if it has one neighbour left, unless v
+        is the least vertex left while a cycle is left too; otherwise
+        remove nothing and return False.
+
+        The DFS of a fresh build visits and pops such a v with no back
+        edge, so the cycles it finds do not change.  From the least vertex
+        it would start elsewhere, which with a cycle left can change the
+        order the cycles are found in, or a cycle's listing or hub."""
+        if (sum(u not in self.removed for u in self.g.adjacency[v]) != 1
+                or v == self.first and self.tvc.cycles):
+            return False
+        self.removed.add(v)
+        while self.first in self.removed:
+            self.first += 1
+        self.dp.remove_leaf(self.bt.block_of[v])
+        self.blocks -= 1
+        return True
+
+    def walk(self) -> CoveringPath:
+        """Minimum-length 1-covering walk of the vertices left, with the
+        fewest revisits among those; every cost identity is asserted."""
+        g, tvc, dp = self.g, self.tvc, self.dp
+        if self.blocks == 1 and tvc.cycles:
+            # a lone cycle: every vertex but the last two of its listing
+            verts = tvc.cycles[0]
+            path = CoveringPath.from_vertices(g, [tvc.origin[v] for v in verts[: len(verts) - 2]])
+        else:
+            value, root, record = solve_root_choices(dp)
+            length, revisits = divmod(value, dp.unit)
+            t_walk = dp.emit_root(root, record)
+            assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
+            g_walk: list[int] = []
+            for tv in t_walk:
+                ov = tvc.origin[tv]
+                if not g_walk or g_walk[-1] != ov:
+                    g_walk.append(ov)
+            path = CoveringPath.from_vertices(g, g_walk)
+            assert path.length == length, "collapsed walk length drifted"
+            assert path.k - path.k_distinct == revisits, "walk revisit count drifted"
+        assert len(path.covered - self.removed) == g.n - len(self.removed), \
+            "solver produced a non-covering walk"
+        return path
+
+
 def solve_cactus(g: Graph) -> CoveringPath:
     """Minimum-length 1-covering walk of a connected cactus.
 
@@ -698,28 +843,4 @@ def solve_cactus(g: Graph) -> CoveringPath:
     revisits, so the walk is simple whenever some shortest covering walk
     is; ties beyond that fall to enumeration order.
     """
-    decomp = validate_cactus(g)
-    if g.n == 1:
-        return CoveringPath.from_vertices(g, [0])
-    tvc = build_vertex_cactus(g, decomp)
-    bt = build_block_tree(tvc)
-    if bt.n_blocks == 1 and bt.blocks[0][0] == "cycle":
-        verts = bt.blocks[0][1]
-        walk = [tvc.origin[v] for v in verts[: len(verts) - 2]]
-        path = CoveringPath.from_vertices(g, walk)
-        assert path.is_covering(g)
-        return path
-    value, dp, root, record = solve_root_choices(tvc, bt)
-    length, revisits = divmod(value, dp.unit)
-    t_walk = dp.emit_root(root, record)
-    assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
-    g_walk: list[int] = []
-    for tv in t_walk:
-        ov = tvc.origin[tv]
-        if not g_walk or g_walk[-1] != ov:
-            g_walk.append(ov)
-    path = CoveringPath.from_vertices(g, g_walk)
-    assert path.length == length, "collapsed walk length drifted"
-    assert path.k - path.k_distinct == revisits, "walk revisit count drifted"
-    assert path.is_covering(g), "solver produced a non-covering walk"
-    return path
+    return CactusSolver(g).walk()

@@ -3,7 +3,11 @@
 `construct_s` simulates the whole schedule once: at stage r it solves the
 covering path on the surviving subgraph, labels the qubit at the path
 start with r, rides it along the path's SWAPs, then parks it on a spare
-neighbor of the path end, which is excluded from later stages.  The final
+neighbor of the path end, which is excluded from later stages.  One
+solver serves the stages: a park that is a pendant of the survivors is
+removed from it in place, and only other parks (those that open a cycle,
+or the least survivor while a cycle is left) have it built again.  The
+stage walks are those of solving every stage afresh.  The final
 labels make every cascade a textbook QFT cascade in label space:
 cascade r applies H to the label-r qubit and a controlled phase of order
 (label - r + 1) from each survivor.  `cascade_for_path` emits one cascade
@@ -15,11 +19,12 @@ the walk's firing, so its phase gate fuses with the closing park SWAP
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
 from .circuit_ir import Circuit, CostReport, Gate, cnot_cost
-from .covering_path import CoveringPath, brute_force_oracle, solve_cactus
+from .covering_path import CactusSolver, brute_force_oracle
 from .graph_core import Graph, NotACactus, NotConnected
 from .hash_synth import target_walk
 
@@ -52,14 +57,6 @@ class CascadePlan:
     S: tuple[int, ...]
     A: tuple[int, ...]
     cascades: tuple[CascadeRecord, ...]
-
-
-def _covering_path(g: Graph) -> CoveringPath:
-    try:
-        return solve_cactus(g)
-    except NotACactus:
-        # non-cactus devices (e.g. complete graphs) fall back to search
-        return brute_force_oracle(g)
 
 
 def _connected_without(adjacency, vertices: set[int], removed: int) -> bool:
@@ -96,7 +93,14 @@ def _choose_park(g: Graph, survivors: set[int], path: tuple[int, ...]) -> int:
 
 
 def construct_s(g: Graph) -> CascadePlan:
-    """Run the full scheduling simulation and fix all cascade records."""
+    """Run the full scheduling simulation and fix all cascade records.
+
+    One `CactusSolver` on the induced survivors serves the stages.  A park
+    it can remove in place (a pendant of the survivors, see
+    `CactusSolver.remove_pendant`) keeps it; any other park, such as one
+    that opens a cycle, has it built again on the survivors that are
+    left.  Survivors that are no cactus (e.g. complete graphs) fall back
+    to brute-force search, stage by stage."""
     n = g.n
     if n < 2:
         raise ValueError("the schedule needs at least 2 qubits")
@@ -104,9 +108,17 @@ def construct_s(g: Graph) -> CascadePlan:
     labels = [0] * n      # labels[q] = cascade number of qubit q
     alive = list(range(n))
     staged: list[tuple[int, tuple[int, ...], int | None, tuple[int, ...], tuple[int, ...]]] = []
+    solver = None
     for r in range(1, n - 1):
-        sub, old = g.induced_subgraph(alive)
-        walk = _covering_path(sub)
+        if solver is None:
+            # old[i]: the vertex of g that vertex i of sub stands for, in
+            # increasing order
+            sub, old = g.induced_subgraph(alive)
+            try:
+                solver = CactusSolver(sub)
+            except NotACactus:
+                pass
+        walk = brute_force_oracle(sub) if solver is None else solver.walk()
         path = tuple(old[i] for i in walk.vertices)
         snapshot = tuple(occ)
         labels[occ[path[0]]] = r
@@ -117,6 +129,8 @@ def construct_s(g: Graph) -> CascadePlan:
         occ[end], occ[park] = occ[park], occ[end]
         staged.append((r, path, park, tuple(alive), snapshot))
         alive.remove(park)
+        if solver is not None and not solver.remove_pendant(bisect_left(old, park)):
+            solver = None
     a, b = sorted(alive)
     if not g.has_edge(a, b):  # parks keep survivors connected, so only n = 2
         raise NotConnected(f"vertex {b} unreachable from {a}")

@@ -11,7 +11,9 @@ so basis index sum(b_q << q) has qubit q's bit at weight 2^q.
 Gates are applied in place to one tensor of shape (2,)*n (a unitary adds
 a trailing column axis), and no gate is ever expanded to the full space.
 A SWAP moves no data: it exchanges two entries of the map from qubits to
-tensor axes, and one `moveaxis` at the end restores the axis order.  A
+tensor axes, and the axis order is restored at the end: by one `moveaxis`
+for a state, and for a unitary by moving its rows in place along the
+cycles of the relabel, so that only one unitary is ever held.  A
 controlled gate acts only on the view where its control axis reads 1,
 and applies there its target core, the lower-right 2x2 block of
 `gate_matrix`.  A one-qubit core on the two slices of its target axis
@@ -104,10 +106,10 @@ def _apply_core(tensor: np.ndarray, m: np.ndarray, axis: int,
     s1 += tmp
 
 
-def _run(tensor: np.ndarray, c: Circuit) -> np.ndarray:
+def _run(tensor: np.ndarray, c: Circuit) -> list[int]:
     """Apply every gate of `c` in place to `tensor`, shaped (2,)*n plus
-    optional trailing axes with qubit q on axis n - 1 - q, and return it
-    with the axes in that order again."""
+    optional trailing axes with qubit q on axis n - 1 - q, and return the
+    axis map at the end: qubit q's bit is then on axis axis[q]."""
     n = c.num_qubits
     axis = [n - 1 - q for q in range(n)]
     for g in c.gates:
@@ -121,7 +123,25 @@ def _run(tensor: np.ndarray, c: Circuit) -> np.ndarray:
         else:
             control, target = g.qubits
             _apply_core(tensor, m[2:, 2:], axis[target], axis[control])
-    return np.moveaxis(tensor, axis, range(n - 1, -1, -1))
+    return axis
+
+
+def _gather_rows(mat: np.ndarray, src: list[int]) -> None:
+    """Set row y of `mat` to its row src[y] for every y, in place: each
+    cycle of the permutation src is walked once, through one row buffer."""
+    row = np.empty_like(mat[0])
+    done = bytearray(len(src))
+    for start, first in enumerate(src):
+        if done[start] or first == start:
+            continue
+        row[...] = mat[start]
+        y, x = start, first
+        while x != start:
+            mat[y] = mat[x]
+            done[y] = 1
+            y, x = x, src[x]
+        mat[y] = row
+        done[y] = 1
 
 
 def statevector(c: Circuit, initial: int = 0) -> np.ndarray:
@@ -131,7 +151,9 @@ def statevector(c: Circuit, initial: int = 0) -> np.ndarray:
         raise TooManyQubits(f"n={n} exceeds the dense-simulation cap {MAX_QUBITS}")
     psi = np.zeros(2 ** n, dtype=complex)
     psi[initial] = 1.0
-    return _run(psi.reshape((2,) * n), c).reshape(-1)
+    tensor = psi.reshape((2,) * n)
+    axis = _run(tensor, c)
+    return np.moveaxis(tensor, axis, range(n - 1, -1, -1)).reshape(-1)
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
@@ -140,8 +162,12 @@ def unitary_of(c: Circuit) -> np.ndarray:
     if n > MAX_QUBITS:
         raise TooManyQubits(f"n={n} exceeds the dense-simulation cap {MAX_QUBITS}")
     dim = 2 ** n
-    mat = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    return _run(mat, c).reshape(dim, dim)
+    mat = np.eye(dim, dtype=complex)
+    axis = _run(mat.reshape((2,) * n + (dim,)), c)
+    # row y holds qubit q's bit at weight 2^q; the tensor holds it on axis
+    # axis[q], at row weight 2^(n - 1 - axis[q])
+    _gather_rows(mat, permutation_vector([n - 1 - a for a in axis], n).tolist())
+    return mat
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:

@@ -1,13 +1,17 @@
 """Shared helpers: seeded random circuits for fidelity tests, a
-one-application-at-a-time reference for the l-fold hashing operator, and
-exhaustive searches for shortest simple covering walks and for the fewest
-revisits a covering walk of a given length can make."""
+one-application-at-a-time reference for the l-fold hashing operator, a
+solve-every-stage-afresh reference for the QFT schedule, and exhaustive
+searches for shortest simple covering walks and for the fewest revisits
+a covering walk of a given length can make."""
 
 import math
 import random
 
 from cactusq.circuit_ir import Circuit
+from cactusq.covering_path import brute_force_oracle, solve_cactus
+from cactusq.graph_core import NotACactus
 from cactusq.hash_synth import construct_for_path
+from cactusq.qft_synth import _choose_park
 
 
 def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:
@@ -68,6 +72,28 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
         for cur, nxt in zip(verts, verts[1:]):
             occ[cur], occ[nxt] = occ[nxt], occ[cur]
     return circuit
+
+
+def cascade_stages_reference(g):
+    """(walk, park) of every stage of `construct_s` but the last two, with
+    each stage's survivors taken as an induced subgraph and solved afresh
+    by `solve_cactus` (by brute force where they are no cactus).  The rest
+    of a plan follows from these: the labels, the occupancy and every
+    record are replayed from the walks and parks alone.
+    """
+    alive = list(range(g.n))
+    stages = []
+    for _ in range(1, g.n - 1):
+        sub, old = g.induced_subgraph(alive)
+        try:
+            walk = solve_cactus(sub)
+        except NotACactus:
+            walk = brute_force_oracle(sub)
+        path = tuple(old[i] for i in walk.vertices)
+        park = _choose_park(g, set(alive), path)
+        stages.append((path, park))
+        alive.remove(park)
+    return stages
 
 
 def shortest_simple_covering_walk(g, limit: int = 14):

@@ -261,7 +261,7 @@ class TestRerooting:
         for start in range(1, bt.n_blocks):
             other = _Rerooted(tvc, bt, start)
             assert other.into == ref.into, start
-            assert other.choice == ref.choice, start
+            assert other.handed == ref.handed, start
 
 
 class TestRootValues:
@@ -308,7 +308,7 @@ class TestRootValues:
             tvc = build_vertex_cactus(g, validate_cactus(g))
             bt = build_block_tree(tvc)
             calls.clear()
-            solve_root_choices(tvc, bt)
+            solve_root_choices(_Rerooted(tvc, bt))
             assert len(calls) == 2 * (bt.n_blocks - 1) + 1
 
 

@@ -1,20 +1,31 @@
-"""QFT synthesis tests: the scheduling simulation (construct_s), single
-cascades, full circuits against the QFT reference, and the cost
-accounting including the exact revisit surcharge."""
+"""QFT synthesis tests: the scheduling simulation (construct_s) with its
+one solver kept across the stages, single cascades, full circuits against
+the QFT reference, and the cost accounting including the exact revisit
+surcharge."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shortest_simple_covering_walk
+from conftest import cascade_stages_reference, shortest_simple_covering_walk
 
 from cactusq.circuit_ir import Circuit, cnot_cost
-from cactusq.families import complete, cycle, fig3_cactus, line, star
+from cactusq.covering_path import CactusSolver
+from cactusq.families import chain_of_squares, complete, cycle, fig3_cactus, line, star
 from cactusq.graph_core import Graph, random_cactus
 from cactusq.qft_synth import CascadeRecord, cascade_for_path, construct_s, synthesize_qft
 from cactusq.verify_sim import equiv_up_to_permutation, qft_reference_unitary, unitary_of
 
 SPIDER = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
+def spider(legs, length):
+    """`legs` paths of `length` vertices hanging off vertex 0."""
+    return Graph.from_edges(1 + legs * length, [
+        (1 + leg * length + i - 1 if i else 0, 1 + leg * length + i)
+        for leg in range(legs) for i in range(length)])
 
 
 class TestConstructS:
@@ -52,6 +63,118 @@ class TestConstructS:
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
             construct_s(Graph.from_edges(1, []))
+
+
+class TestOneSolverAcrossStages:
+    # construct_s keeps one CactusSolver and removes pendant parks from it
+    # in place; every stage must still get the walk and the park that
+    # solving the stage's survivors afresh gives
+    @staticmethod
+    def stages(g):
+        return [(rec.path, rec.park) for rec in construct_s(g).cascades[:-2]]
+
+    @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
+    def test_random_cacti_match_the_reference(self, cycle_prob):
+        for n in range(2, 61):
+            for seed in range(2):
+                g = random_cactus(n, seed, cycle_prob)
+                assert self.stages(g) == cascade_stages_reference(g), (n, seed)
+
+    def test_families_match_the_reference(self):
+        graphs = [fig3_cactus(), complete(5)]
+        graphs += [f(n) for n in range(2, 25) for f in (line, star)]
+        graphs += [spider(legs, length) for legs in (2, 3, 5) for length in (1, 2, 4)]
+        graphs += [chain_of_squares(t) for t in range(1, 10)]
+        for g in graphs:
+            assert self.stages(g) == cascade_stages_reference(g), g.edges()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_cacti_match_the_reference(self, seed):
+        g = random_cactus(200, seed)
+        assert self.stages(g) == cascade_stages_reference(g)
+
+    def test_least_survivor_stays_on_the_rebuild_path(self):
+        # here a pendant park is the least survivor while a cycle is left;
+        # removed in place, it would keep a cycle order that the fresh
+        # DFS, starting from another vertex, finds differently
+        g = random_cactus(43, 28, 0.85)
+        assert self.stages(g) == cascade_stages_reference(g)
+
+
+class TestPendantRemoval:
+    # after each in-place removal every live block's tables equal those of
+    # a fresh build on the vertices left, value for value: folded values
+    # are compared as (length, revisits), each decoded with its own unit
+    @staticmethod
+    def check_against_fresh(g, solver):
+        alive = [v for v in range(g.n) if v not in solver.removed]
+        sub, old = g.induced_subgraph(alive)
+        fresh = CactusSolver(sub)
+        kept, new = solver.dp, fresh.dp
+        live = [b for b, v in enumerate(kept.value) if v is not None]
+        assert len(live) == fresh.bt.n_blocks == solver.blocks
+        renumber = {b: i for i, b in enumerate(live)}
+        for b, fb in renumber.items():
+            kind, verts = solver.bt.blocks[b]
+            fkind, fverts = fresh.bt.blocks[fb]
+            assert kind == fkind
+            assert ([solver.tvc.origin[v] for v in verts]
+                    == [old[fresh.tvc.origin[v]] for v in fverts])
+            assert divmod(kept.closed[b], kept.unit) == divmod(new.closed[fb], new.unit)
+            assert divmod(kept.value[b], kept.unit) == divmod(new.value[fb], new.unit)
+            for top, ftop in zip(kept.top_at[b], new.top_at[fb], strict=True):
+                if top is None or ftop is None:
+                    assert top is ftop is None
+                else:
+                    assert ([(renumber[c.block], divmod(c.saving, kept.unit)) for c in top]
+                            == [(c.block, divmod(c.saving, new.unit)) for c in ftop])
+        assert solver.walk().vertices == tuple(old[v] for v in fresh.walk().vertices)
+
+    def remove_pendants(self, g, seed):
+        """Remove pendants in random order while one can be removed in
+        place, checking the tables after each; return how many went."""
+        rng = random.Random(seed)
+        solver = CactusSolver(g)
+        removed = 0
+        while True:
+            alive = [v for v in range(g.n) if v not in solver.removed]
+            pendants = [v for v in alive
+                        if sum(u not in solver.removed for u in g.adjacency[v]) == 1]
+            rng.shuffle(pendants)
+            for v in pendants:
+                if solver.remove_pendant(v):
+                    break
+                # the least vertex left stays while a cycle is left
+                assert v == alive[0] and solver.tvc.cycles
+            else:
+                return removed
+            removed += 1
+            self.check_against_fresh(g, solver)
+
+    @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
+    def test_random_cacti(self, cycle_prob):
+        removed = 0
+        for n in range(2, 31):
+            for seed in range(4):
+                removed += self.remove_pendants(random_cactus(n, seed, cycle_prob), seed)
+        assert removed > 100
+
+    def test_families(self):
+        # the last two: a 4-cycle and a 9-cycle with a path of two on
+        # every vertex, so the cycle's arms lose their neighbours one by one
+        for g in [line(12), star(9), spider(3, 3)] + [
+                Graph.from_edges(3 * t, [(i, (i + 1) % t) for i in range(t)]
+                                 + [(i, t + i) for i in range(t)]
+                                 + [(t + i, 2 * t + i) for i in range(t)])
+                for t in (4, 9)]:
+            for seed in range(3):
+                assert self.remove_pendants(g, seed) > 0
+
+    def test_non_pendant_is_refused(self):
+        solver = CactusSolver(line(5))
+        assert not solver.remove_pendant(2)
+        assert solver.remove_pendant(0) and solver.remove_pendant(1)
+        assert solver.walk().vertices == (3,)
 
 
 class TestCascadeForPath:

@@ -211,6 +211,29 @@ class TestSimulator:
     def test_output_is_unitary(self, n, seed):
         assert is_unitary(unitary_of(random_circuit(n, seed)))
 
+    @staticmethod
+    def reshaped_view(c):
+        """The unitary as a copy of the reshaped `moveaxis` view of the
+        simulated tensor: the reference for the rows moved in place."""
+        n = c.num_qubits
+        dim = 2 ** n
+        tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+        axis = verify_sim._run(tensor, c)
+        return np.moveaxis(tensor, axis, range(n - 1, -1, -1)).reshape(dim, dim)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 200), st.integers(0, 40))
+    def test_rows_moved_in_place_are_bit_identical(self, n, seed, length):
+        c = random_circuit(n, seed, length)
+        assert unitary_of(c).tobytes() == self.reshaped_view(c).tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(7, 0), (8, 3), (9, 1)])
+    def test_qft_rows_moved_in_place_are_bit_identical(self, n, seed):
+        # a QFT circuit's SWAPs leave a long relabel to undo
+        c, _ = synthesize_qft(random_cactus(n, seed))
+        assert c.count("SWAP") > n
+        assert unitary_of(c).tobytes() == self.reshaped_view(c).tobytes()
+
 
 def scatter_equiv(u, v, perm=None, tol=1e-9):
     """Reference for equiv_up_to_permutation: scatter a full permuted copy
