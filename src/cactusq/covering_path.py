@@ -76,69 +76,50 @@ class CoveringPath:
         return len(self.covered) == g.n
 
 
+def _shortest_walk(g: Graph, limit: int, mask_of) -> CoveringPath:
+    """Shortest walk whose vertices' bit masks, `mask_of(v)`, together
+    cover every vertex, by BFS over (vertex, union of the masks so far).
+    Exponential in n; raises TooLarge above `limit` vertices."""
+    if g.n > limit:
+        raise TooLarge(f"n={g.n} exceeds the oracle limit {limit}")
+    full = (1 << g.n) - 1
+    mask = [mask_of(v) for v in range(g.n)]
+    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
+    queue: deque[tuple[int, int]] = deque()
+    for v in range(g.n):
+        state = (v, mask[v])
+        if state not in parent:
+            parent[state] = None
+            queue.append(state)
+    while queue:
+        v, seen = state = queue.popleft()
+        if seen == full:
+            walk: list[int] = []
+            cur: tuple[int, int] | None = state
+            while cur is not None:
+                walk.append(cur[0])
+                cur = parent[cur]
+            walk.reverse()
+            return CoveringPath.from_vertices(g, walk)
+        for u in g.adjacency[v]:
+            nxt = (u, seen | mask[u])
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+    raise AssertionError("a connected graph admits such a walk")
+
+
 def brute_force_oracle(g: Graph, limit: int = 16) -> CoveringPath:
     """Exact shortest 1-covering walk by BFS over (vertex, covered-set).
 
     Exponential in n; raises TooLarge above `limit` vertices.
     """
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds the oracle limit {limit}")
-    full = (1 << g.n) - 1
-    closed_nbhd = [
-        (1 << v) | sum(1 << u for u in g.adjacency[v]) for v in range(g.n)
-    ]
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-    queue: deque[tuple[int, int]] = deque()
-    for v in range(g.n):
-        state = (v, closed_nbhd[v])
-        if state not in parent:
-            parent[state] = None
-            queue.append(state)
-    while queue:
-        v, mask = state = queue.popleft()
-        if mask == full:
-            walk: list[int] = []
-            cur: tuple[int, int] | None = state
-            while cur is not None:
-                walk.append(cur[0])
-                cur = parent[cur]
-            walk.reverse()
-            return CoveringPath.from_vertices(g, walk)
-        for u in g.adjacency[v]:
-            nxt = (u, mask | closed_nbhd[u])
-            if nxt not in parent:
-                parent[nxt] = state
-                queue.append(nxt)
-    raise AssertionError("connected graph must admit a covering walk")
+    return _shortest_walk(g, limit, lambda v: (1 << v) | sum(1 << u for u in g.adjacency[v]))
 
 
 def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
     """Shortest walk visiting every vertex (BFS over (vertex, visited-set))."""
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds the oracle limit {limit}")
-    full = (1 << g.n) - 1
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-    queue: deque[tuple[int, int]] = deque()
-    for v in range(g.n):
-        state = (v, 1 << v)
-        parent[state] = None
-        queue.append(state)
-    while queue:
-        v, mask = state = queue.popleft()
-        if mask == full:
-            walk: list[int] = []
-            cur: tuple[int, int] | None = state
-            while cur is not None:
-                walk.append(cur[0])
-                cur = parent[cur]
-            walk.reverse()
-            return CoveringPath.from_vertices(g, walk)
-        for u in g.adjacency[v]:
-            nxt = (u, mask | (1 << u))
-            if nxt not in parent:
-                parent[nxt] = state
-                queue.append(nxt)
-    raise AssertionError("connected graph must admit a visiting walk")
+    return _shortest_walk(g, limit, lambda v: 1 << v)
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +149,20 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # order wins, at its first best pivot, and its own record rebuilds the
 # walk.
 #
-# A step reads per-block arrays kept up to date as contributions arrive:
-# their closed costs summed, and at each position the two children with
-# the best savings (None where no neighbour attaches).  Leaving out `up`
-# touches only its own position, the pivot, which no arm reads.  A cycle
-# step scores candidates as integers, keeps the first minimum per count of
-# free ends and builds records for those alone.  A push asks for 0 and 1
-# free ends.  Roots do not run the step to be scored: with both ends free
-# the pivot drops out of a walk's saving, which then depends only on where
-# the two ends are (see `cycle_root_value`), so each block's best root
-# value is one integer scan over its arcs.  Only the winning root runs the
-# step, once, at its first pivot that reaches that value, for its record.
+# Each contribution is held once, as what one block handed its neighbour;
+# a block's bridges are kept in the order its neighbours' walks are laid
+# out.  A step reads per-block arrays kept up to date as contributions
+# arrive: their closed costs summed, and at each position the two children
+# with the best savings (None where no neighbour attaches).  Leaving out
+# `up` touches only its own position, the pivot, which no arm reads.  A
+# cycle step scores candidates as integers, keeps the first minimum per
+# count of free ends and builds records for those alone.  A push asks for
+# 0 and 1 free ends.  Roots do not run the step to be scored: with both
+# ends free a walk's saving depends only on where its two ends are, so one
+# O(t) scan over a cycle's arcs (`cycle_root`) folds each saving with the
+# first pivot that reaches it and gives the block's least root value and
+# that pivot together.  Only the winning root runs the step, once, at that
+# pivot, for its record.
 #
 # Every record has one shape, (pivot, mode, end1, end2).  The mode is
 # ("vertex",), ("perim",) (once around the cycle) or ("chain", j, a, b)
@@ -394,89 +378,92 @@ def dp_cycle(top_at: list, perim: int, closed: int, entry: int, at_entry: list,
 
 # A cycle root has both ends free, and then a walk's saving depends on
 # where its ends are, not on the pivot.  Every candidate of `dp_cycle` walks
-# an arc out and back: the cycle less one edge, or less a run of one or
-# two neighbourless positions (`_SHORTFALLS`), at `step` per arc edge.  Ends
-# at arc positions u < w save (w - u) * back + c(u) + c(w), c the best child
-# saving at a position (0 if none); both ends in the children of one
-# position p save d(p), its two best child savings summed.  So a pivot's
-# value is closed + min(perim - d(p), over the arcs A through p of
-# len(A) * step - the best such saving with u <= p <= w), and the least
-# over all pivots needs no pivot at all.
+# an arc out and back at `step` per arc edge: the cycle less the edge into
+# position r, or less a run of s = 1 or 2 neighbourless positions from r
+# (`_SHORTFALLS`), so the arc runs from r + s round to r - 1.  Ends at arc
+# positions u before w save their distance along the arc times `back`, plus
+# c(u) + c(w), c the best child saving at a position (0 if none); both
+# ends in the children of one position p save d(p), its two best child
+# savings summed.  A pivot p scores a pair only when it lies on the arc
+# from u to w, so the first pivot to reach a pair is u, or 0 when the walk
+# from u to w crosses t - 1 -> 0, and a double end at p is reached from p.
+# Folded as saving * t - pivot, one maximum gives both the least value and
+# its first pivot.  The fold splits into a share per end, so each arc reads
+# its best pair from prefix and suffix tables over the t positions, and a
+# block costs O(t).
+
+# stands for the best of no pairs at all
+_NO_PAIR = float("-inf")
 
 
-def _root_terms(top_at: list):
-    """What a cycle root reads of its children, as integers: c and d per
-    position, and the (s, r) runs of s neighbourless positions from r that
-    an arc may leave out."""
+def _pairs(first: list, second: list) -> list:
+    """At each index i, the best first[u] + second[w] over u < w <= i."""
+    return [*accumulate(map(add, accumulate(first, max, initial=_NO_PAIR), second), max)]
+
+
+def cycle_root(top_at: list, perim: int, closed: int, unit: int) -> tuple[int, int]:
+    """The least over all pivots of `dp_cycle`'s value for 2 free ends,
+    and the first pivot that reaches it, from integers alone."""
+    t = len(top_at)
+    back, step = unit + 1, 2 * unit + 1
     c = [top[0].saving if top else 0 for top in top_at]
     d = [sum(x.saving for x in top) if top else 0 for top in top_at]
-    t = len(top_at)
-    runs = [(s, r) for r in range(t) if top_at[r] is None
-            for s in (1, 2) if s == 1 or top_at[(r + 1) % t] is None]
-    return c, d, runs
-
-
-def cycle_root_value(top_at: list, perim: int, closed: int, unit: int) -> int:
-    """The least of `cycle_root_values`: the best walk of each arc is its
-    best pair of ends, or two ends in the children of one position.
-
-    Every block is scored but only the winner needs a pivot, and this scan
-    with no pivot in view takes about half the time of the per-pivot one
-    on the solve-large graphs.  Both state the same arc terms; the root
-    value tests check each against the DP step."""
-    t = len(top_at)
-    back, step = unit + 1, 2 * unit + 1
-    c, d, runs = _root_terms(top_at)
-    both = max(d)
-    ring = c + c
-    # on the doubled ring, ends at u < w save lo[u] + hi[w]
-    lo = [x - i * back for i, x in enumerate(ring)]
-    hi = [x + i * back for i, x in enumerate(ring)]
-
-    def pair(first: int, last: int) -> int:
-        """Best saving of two ends at first <= u < w <= last."""
-        return max(map(add, accumulate(lo[first:last], max), hi[first + 1:last + 1]),
-                   default=0)
-
-    # the arcs less one edge hold every ordered pair of positions: u < w
-    # within 0..t-1, and u > w, whose walk passes t - 1 on its way to w
-    wrap = max(map(add, accumulate(hi[t:2 * t - 1], max), lo[1:t]))
-    value = min(perim - both, (t - 1) * step - max(pair(0, t - 1), wrap, both))
-    for s, r in runs:
-        value = min(value, (t - 1 - s) * step - max(pair(r + s, r + t - 1), both))
-    return closed + value
-
-
-def cycle_root_values(top_at: list, perim: int, closed: int, unit: int):
-    """Yield, in pivot order, each pivot's value as a cycle root with both
-    ends free: `dp_cycle`'s value for 2 free ends, from integers alone."""
-    t = len(top_at)
-    back, step = unit + 1, 2 * unit + 1
-    c, d, runs = _root_terms(top_at)
-    ring = c + c
-    depths = range(back, t * back, back)
-    for p in range(t):
-        # seen from p the other positions are p + 1 .. p + t - 1; an arc
-        # leaves out the edge or run after the k-th of them, so its right
-        # arm holds the first k and its left arm the rest: right[k] is the
-        # best end among the first k, left[k] among those after the k-th
-        arm = ring[p + 1:p + t]
-        right = [0, *accumulate(map(add, arm, depths), max)]
-        left = [*accumulate(map(add, reversed(arm), depths), max)][::-1] + [0]
-        c_p, d_p = c[p], d[p]
-        ends = max(max(map(add, right, left)), max(right[-1], left[0]) + c_p, d_p)
-        value = min(perim - d_p, (t - 1) * step - ends)
-        for s, r in runs:
-            k = (r - p) % t - 1
-            if k >= 0 and k + s < t:
-                a, b = right[k], left[k + s]
-                value = min(value, (t - 1 - s) * step - max(a + b, max(a, b) + c_p, d_p))
-        yield closed + value
+    # over all positions: one that an arc leaves out has d = 0, and every
+    # arc of two or more positions holds a pair that saves more
+    double = max(x * t - p for p, x in enumerate(d))
+    # the folded saving of ends at u < w is first[u] + second[w], and of a
+    # walk from u > w across t - 1 -> 0 it is across[u] + second[w]
+    first = [(x - u * back) * t - u for u, x in enumerate(c)]
+    second = [(x + w * back) * t for w, x in enumerate(c)]
+    across = [(x + (t - u) * back) * t for u, x in enumerate(c)]
+    # pre[i]: the best u < w <= i, suf[i]: the best i <= u < w
+    pre = _pairs(first, second)
+    suf = _pairs(second[::-1], first[::-1])[::-1]
+    second_pre = [*accumulate(second, max)]
+    across_suf = [*accumulate(reversed(across), max)][::-1]
+    # once around with both ends at one position; then the arcs less one
+    # edge, which hold every pair and cost the same
+    least = min(perim * t - double,
+                (t - 1) * step * t - max(suf[0], double, *map(add, across_suf[1:], second_pre)))
+    for r in range(t):
+        for s in (1, 2):
+            if top_at[(r + s - 1) % t] is not None:
+                break
+            a = r + s  # the arc runs from a round to r - 1
+            if s == t - 1:  # a single position, which holds both ends
+                q = a % t
+                ends = d[q] * t - q
+            else:
+                if r == 0:
+                    pair = suf[s]
+                elif a == t:
+                    pair = pre[r - 1]
+                elif a > t:  # the run holds t - 1 and 0: the arc is 1 .. t - 2
+                    pair = _pairs(first[1:-1], second[1:-1])[-1]
+                else:
+                    pair = max(suf[a], pre[r - 1], across_suf[a] + second_pre[r - 1])
+                ends = max(pair, double)
+            least = min(least, (t - 1 - s) * step * t - ends)
+    return divmod(closed * t + least, t)
 
 
 _order_key = attrgetter("entry", "block")
 # all that the block a contribution is handed to reads of it
 _read_on = attrgetter("closed_cost", "saving", "skipped")
+
+
+def _rank(top: list, c: ChildContribution) -> None:
+    """Put c among `top`, the at most two best positive savings at one
+    position, largest first; a tie goes to the earlier in _order_key order."""
+    if c.skipped or c.saving <= 0:
+        return
+    i = len(top)
+    while i and (c.saving > top[i - 1].saving or c.saving == top[i - 1].saving
+                 and _order_key(c) < _order_key(top[i - 1])):
+        i -= 1
+    if i < 2:
+        top.insert(i, c)
+        del top[2:]
 
 
 class _Rerooted:
@@ -487,8 +474,6 @@ class _Rerooted:
     def __init__(self, tvc: WeightedVertexCactus, bt: BlockTree, start: int = 0):
         self.bt = bt
         self.unit = sum(len(a) for a in tvc.adjacency) + 1  # the fold's step weight
-        # into[b]: each neighbour's contribution seen from b, in _order_key order
-        self.into: list[list[ChildContribution]] = [[] for _ in bt.blocks]
         # handed[b][towards]: the contribution b handed its neighbour `towards`
         self.handed: list[dict[int, ChildContribution]] = [{} for _ in bt.blocks]
         # what the step of each block reads of its neighbours' contributions,
@@ -497,13 +482,15 @@ class _Rerooted:
         # position p, in _top_ends order (None while p has no neighbour)
         self.closed = [0] * len(bt.blocks)
         self.top_at: list[list] = [[None] * len(verts) for _, verts in bt.blocks]
-        # bridge[b][other]: (weight, own attach vertex, its position in b)
+        # bridge[b][other]: (weight, own attach vertex, its position in b),
+        # in the _order_key order of what `other` hands b: by other's attach
+        # vertex, then by block
         self.bridge: list[dict[int, tuple[int, int, int]]] = []
         self.perim: dict[int, int] = {}
         for b, (kind, verts) in enumerate(bt.blocks):
             pos = {v: i for i, v in enumerate(verts)}
-            self.bridge.append({other: (w, own, pos[own])
-                                for other, w, own, _theirs in bt.tree[b]})
+            self.bridge.append({other: (w, own, pos[own]) for other, w, own, _theirs
+                                in sorted(bt.tree[b], key=lambda e: (e[3], e[0]))})
             if kind == "cycle":
                 t = len(verts)
                 weight = sum(next(wt for nb, wt in tvc.adjacency[verts[i]]
@@ -520,22 +507,20 @@ class _Rerooted:
         for b in reversed(order[1:]):
             self._push(b, parent[b])
         for b in order:
-            for c in self.into[b]:
-                if c.block != parent[b]:
-                    self._push(b, c.block, c)
-        for into in self.into:
-            if len(into) > 1:
-                into.sort(key=_order_key)
+            for other in self.bridge[b]:
+                if other != parent[b]:
+                    self._push(b, other, self.handed[other][b])
         # each block's least value as the root, None once it is removed
-        self.value: list[int | None] = [self.root_value(b) for b in range(bt.n_blocks)]
+        self.value: list[int | None] = [self.root(b)[0] for b in range(bt.n_blocks)]
 
     def _by_position(self, b: int, up: int | None) -> dict[int, list[ChildContribution]]:
         """The neighbours of b other than `up` that must be entered, by
         attach position."""
         out: dict[int, list[ChildContribution]] = {}
-        for c in self.into[b]:
-            if c.block != up and not c.skipped:
-                out.setdefault(self.bridge[b][c.block][2], []).append(c)
+        for other, (_, _, p) in self.bridge[b].items():
+            c = self.handed[other][b]
+            if other != up and not c.skipped:
+                out.setdefault(p, []).append(c)
         return out
 
     def _step(self, b: int, seen, pivot: int, ends: tuple[int, ...]):
@@ -566,43 +551,30 @@ class _Rerooted:
             skipped=self.bt.blocks[b][0] == "vertex" and len(self.bridge[b]) == 1,
             records=(closed, open_),
         )
-        self.into[towards].append(c)
         tops = self.top_at[towards]
         p = self.bridge[towards][b][2]
-        top = tops[p] = tops[p] or []
-        if c.skipped:
-            return
-        self.closed[towards] += c.closed_cost
-        # largest saving first; a tie goes to the earlier in _order_key order
-        i = len(top)
-        while i and (c.saving > top[i - 1].saving or c.saving == top[i - 1].saving
-                     and _order_key(c) < _order_key(top[i - 1])):
-            i -= 1
-        if i < 2 and c.saving > 0:
-            top.insert(i, c)
-            del top[2:]
+        tops[p] = tops[p] or []
+        if not c.skipped:
+            self.closed[towards] += c.closed_cost
+        _rank(tops[p], c)
 
-    def _drop(self, b: int, towards: int) -> int:
-        """Take the contribution b handed `towards` out of towards' tables
-        and return where it stood in into[towards].  top_at at its position
-        is ranked again if it was there, and is None if no neighbour is
-        left there."""
-        old = self.handed[b].pop(towards)
-        into = self.into[towards]
-        i = next(i for i, c in enumerate(into) if c is old)
-        del into[i]
+    def _drop(self, b: int, towards: int) -> None:
+        """Take the contribution b handed `towards` out of towards' tables.
+        top_at at its position is ranked again if it was there, and is None
+        if no other neighbour is left there."""
+        old = self.handed[b][towards]
         if not old.skipped:
             self.closed[towards] -= old.closed_cost
-        where = self.bridge[towards]
-        p = where[b][2]
-        at_p = [c for c in into if where[c.block][2] == p]
+        p = self.bridge[towards][b][2]
+        at_p = [self.handed[other][towards] for other, (_, _, q) in self.bridge[towards].items()
+                if q == p and other != b]
         tops = self.top_at[towards]
         if not at_p:
             tops[p] = None
         elif any(c is old for c in tops[p]):
-            tops[p] = sorted((c for c in at_p if not c.skipped and c.saving > 0),
-                             key=lambda c: (-c.saving, _order_key(c)))[:2]
-        return i
+            tops[p] = []
+            for c in at_p:
+                _rank(tops[p], c)
 
     def remove_leaf(self, leaf: int) -> None:
         """Delete leaf block `leaf` and its bridge, and bring the tables of
@@ -617,7 +589,7 @@ class _Rerooted:
         gone, p = self.handed[leaf][attach], self.bridge[attach][leaf][2]
         self._drop(leaf, attach)
         del self.bridge[attach][leaf], self.handed[attach][leaf]
-        self.bridge[leaf], self.handed[leaf], self.into[leaf], self.top_at[leaf] = {}, {}, [], []
+        self.bridge[leaf], self.handed[leaf], self.top_at[leaf] = {}, {}, []
         self.value[leaf] = None
         if (gone.skipped and self.top_at[attach][p] is not None
                 and (self.bt.blocks[attach][0] == "cycle" or len(self.bridge[attach]) > 1)):
@@ -629,29 +601,20 @@ class _Rerooted:
         queue = [(attach, towards) for towards in self.bridge[attach]]
         for b, towards in queue:
             old = self.handed[b][towards]
-            i = self._drop(b, towards)
+            self._drop(b, towards)
             self._push(b, towards, self.handed[towards][b])
-            into = self.into[towards]
-            into.insert(i, into.pop())
-            new = into[i]
-            if _read_on(new) != _read_on(old):
+            if _read_on(self.handed[b][towards]) != _read_on(old):
                 changed.append(towards)
                 queue += [(towards, other) for other in self.bridge[towards] if other != b]
         for b in changed:
-            self.value[b] = self.root_value(b)
+            self.value[b] = self.root(b)[0]
 
-    def root_value(self, b: int) -> int:
-        """Block b's least value as the root with both ends free."""
+    def root(self, b: int) -> tuple[int, int]:
+        """Block b's least value as the root with both ends free, and the
+        first pivot that reaches it."""
         if self.bt.blocks[b][0] == "vertex":
-            return self.closed[b] - sum(c.saving for c in self.top_at[b][0] or ())
-        return cycle_root_value(self.top_at[b], self.perim[b], self.closed[b], self.unit)
-
-    def pivot_values(self, b: int):
-        """The value of `_step(b, None, pivot, (2,))` for each pivot of
-        block b, in pivot order (lazily for a cycle)."""
-        if self.bt.blocks[b][0] == "vertex":
-            return [self.root_value(b)]
-        return cycle_root_values(self.top_at[b], self.perim[b], self.closed[b], self.unit)
+            return self.closed[b] - sum(c.saving for c in self.top_at[b][0] or ()), 0
+        return cycle_root(self.top_at[b], self.perim[b], self.closed[b], self.unit)
 
     # -- reconstruction ----------------------------------------------------
     # Item lists mix vertices with (free ends, block, up) tokens: walk
@@ -749,8 +712,7 @@ def solve_root_choices(dp: _Rerooted):
     at its first best pivot."""
     value = min(v for v in dp.value if v is not None)
     root = dp.value.index(value)
-    pivot = next((p for p, v in enumerate(dp.pivot_values(root)) if v == value), None)
-    assert pivot is not None, "no pivot reaches the root's value"
+    _, pivot = dp.root(root)
     (check, record), = dp._step(root, None, pivot, (2,))
     assert check == value, "root value drifted from the DP step"
     return value, root, record

@@ -143,19 +143,17 @@ def target_walk(g: Graph, verts, controls: set[int], descending: bool,
 
 
 def construct_for_path(g: Graph, path, angles, direction: str = "forward",
-                       lead_control: int | None = None,
-                       circuit: Circuit | None = None) -> Circuit:
-    """One application of the hashing operator along a covering path,
-    appended to `circuit` (a new circuit on device g when None), which is
-    returned.
+                       lead_control: int | None = None) -> Circuit:
+    """One application of the hashing operator along a covering path, as a
+    new circuit on device g.
 
     The target walks the path (`target_walk`) firing a CRy from every other
     qubit once.  `reverse` walks the path backward with descending neighbor
     order.  The rotations fired at one vertex commute, so `lead_control`
     (when present in the opening batch) is moved to the front; repeated
     applications use it to start on the control the previous application
-    ended with, and an opening CRy on the pair `circuit` ends with merges
-    into that gate.
+    ended with, so that `_append_merged` can merge the opening CRy into the
+    gate the previous application ends with.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
@@ -170,8 +168,8 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
         # it fired in the opening batch, whose rotations commute
         i = next(i for i, x in enumerate(gates) if x.qubits[0] == lead_control)
         gates.insert(0, gates.pop(i))
-    c = Circuit(g.n, device=g) if circuit is None else circuit
-    _append_merged(c, gates)
+    c = Circuit(g.n, device=g)
+    c.extend(gates)
     missed = set(range(g.n)) - fired - {start}
     if missed:
         raise PathNotCovering(f"vertices never reached as controls: {sorted(missed)}")

@@ -7,7 +7,7 @@ a covering walk of a given length can make."""
 import math
 import random
 
-from cactusq.circuit_ir import Circuit
+from cactusq.circuit_ir import Circuit, Gate
 from cactusq.covering_path import brute_force_oracle, solve_cactus
 from cactusq.graph_core import NotACactus
 from cactusq.hash_synth import construct_for_path
@@ -55,9 +55,10 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
     every one afresh: forward and reverse in turn, each angle table read
     from the logical qubit at each vertex (the occupancy is tracked across
     applications), the lead control taken from the CRy `circuit` ends with,
-    and one `construct_for_path` call per application, which merges the
-    boundary rotation.  `angles` holds one angle per control, in vertex
-    order with the target `path.vertices[0]` left out.
+    and one `construct_for_path` call per application, whose opening
+    rotation merges into that CRy when both act on one pair.  `angles`
+    holds one angle per control, in vertex order with the target
+    `path.vertices[0]` left out.
     """
     controls = [v for v in range(g.n) if v != path.vertices[0]]
     per_logical = dict(zip(controls, angles))
@@ -68,7 +69,11 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
         angle_map = {u: per_logical[occ[u]] for u in range(g.n) if u != verts[0]}
         last = circuit.gates[-1] if circuit.gates else None
         lead = last.qubits[0] if last is not None and last.kind == "CRy" else None
-        construct_for_path(g, path, angle_map, direction, lead_control=lead, circuit=circuit)
+        gates = construct_for_path(g, path, angle_map, direction, lead_control=lead).gates
+        if last is not None and last.kind == gates[0].kind == "CRy" and last.qubits == gates[0].qubits:
+            circuit.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
+            gates = gates[1:]
+        circuit.extend(gates)
         for cur, nxt in zip(verts, verts[1:]):
             occ[cur], occ[nxt] = occ[nxt], occ[cur]
     return circuit

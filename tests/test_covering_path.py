@@ -18,7 +18,6 @@ from cactusq.covering_path import (
     CoveringPath,
     TooLarge,
     _Rerooted,
-    _root_terms,
     brute_force_oracle,
     brute_force_visit_all,
     solve_cactus,
@@ -87,6 +86,28 @@ def cycle_with_attachments(t, seed):
             if rng.random() < 0.5:
                 edges.append((ring[-1], n))
                 n += 1
+    return Graph.from_edges(n, edges)
+
+
+def sparse_cycle(t, seed):
+    """A t-cycle with an attachment every 10 to 50 positions: a pendant, a
+    path of two or a triangle."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % t) for i in range(t)]
+    n = t
+    at = rng.randrange(10)
+    while at < t:
+        kind = rng.choice(["pendant", "path", "cycle"])
+        if kind == "pendant":
+            edges.append((at, n))
+            n += 1
+        elif kind == "path":
+            edges += [(at, n), (n, n + 1)]
+            n += 2
+        else:
+            edges += [(at, n), (n, n + 1), (n + 1, at)]
+            n += 2
+        at += rng.randint(10, 50)
     return Graph.from_edges(n, edges)
 
 
@@ -260,14 +281,16 @@ class TestRerooting:
         ref = _Rerooted(tvc, bt)
         for start in range(1, bt.n_blocks):
             other = _Rerooted(tvc, bt, start)
-            assert other.into == ref.into, start
             assert other.handed == ref.handed, start
+            assert other.top_at == ref.top_at, start
+            assert other.closed == ref.closed, start
 
 
 class TestRootValues:
-    # A root's value is scored from integers alone; the DP step stays the
-    # reference.  Every pivot of every block must get the step's value for
-    # 2 free ends, and each block's value must be the least of them.
+    # A root's value and its first best pivot are scored from integers
+    # alone; the DP step stays the reference.  Each block must get the
+    # least of the step's values for 2 free ends over its pivots, and the
+    # first pivot that reaches it.
     @staticmethod
     def corpus():
         for cycle_prob in (0.2, 0.45, 0.85):
@@ -277,9 +300,25 @@ class TestRootValues:
         for t in range(3, 61):
             for seed in range(3):
                 yield cycle_with_attachments(t, seed)
+        for t, seed in ((100, 0), (150, 1), (200, 2)):
+            yield sparse_cycle(t, seed)
+
+    @staticmethod
+    def arc_shape(t, s, r):
+        """Where the arc that leaves out the run of s neighbourless
+        positions from r lies against position 0."""
+        if s == t - 1:
+            return "one position"
+        if r == 0:
+            return "run from 0"
+        if r + s == t:
+            return "run to t - 1, arc from 0"
+        if r + s > t:
+            return "run across t - 1 -> 0, arc from 1"
+        return "arc across 0"
 
     def test_every_pivot_matches_the_step(self):
-        runs = set()
+        runs, shapes = set(), set()
         for g in self.corpus():
             if g.n < 2:
                 continue
@@ -288,12 +327,24 @@ class TestRootValues:
             dp = _Rerooted(tvc, bt)
             for b, (kind, verts) in enumerate(bt.blocks):
                 step = [dp._step(b, None, p, (2,))[0][0] for p in range(len(verts))]
-                assert list(dp.pivot_values(b)) == step, (g.n, g.edges(), b)
-                assert dp.root_value(b) == min(step), (g.n, g.edges(), b)
+                pivot = step.index(min(step))
+                assert dp.root(b) == (min(step), pivot), (g.n, g.edges(), b)
                 if kind == "cycle":
-                    runs.update(s for s, _ in _root_terms(dp.top_at[b])[2])
-        # arcs that leave out one and two neighbourless positions were tried
+                    top_at, t = dp.top_at[b], len(verts)
+                    for r in range(t):
+                        for s in (1, 2):
+                            if top_at[(r + s - 1) % t] is not None:
+                                break
+                            runs.add(s)
+                            shapes.add(self.arc_shape(t, s, r))
+                    if pivot and not any(top_at):
+                        shapes.add("no child savings, pivot past 0")
+        # arcs that leave out one and two neighbourless positions were
+        # tried, at every place against position 0
         assert runs == {1, 2}
+        assert shapes == {"one position", "run from 0", "run to t - 1, arc from 0",
+                          "run across t - 1 -> 0, arc from 1", "arc across 0",
+                          "no child savings, pivot past 0"}
 
     def test_one_root_step_per_solve(self, monkeypatch):
         # every bridge direction runs the step once, and of all the roots
