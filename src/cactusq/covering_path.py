@@ -165,19 +165,24 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # pivot, for its record.
 #
 # Every record has one shape, (pivot, mode, end1, end2).  The mode is
-# ("vertex",), ("perim",) (once around the cycle) or ("chain", j, a, b)
-# (cycle edge j left unwalked, arms walked to depths a and b).  An end is
-# None, ("child", block) (the walk ends inside a child at the pivot) or
-# ("armR"|"armL", depth, child) (the walk ends on an arm, or in a child
-# hanging there).  The walk runs from end1 through the pivot to end2; with
-# fewer than 2 free ends, end1 (then end2) is pinned to the pivot.
+# ("vertex",), ("perim",) (once around the cycle) or ("chain", a, b) (the
+# clockwise and counter-clockwise arms from the pivot, `_arms`, walked to
+# depths a and b; the cycle edge between their tips is left unwalked).  An
+# end is None, ("child", block) (the walk ends inside a child at the
+# pivot) or ("armR"|"armL", depth, child) (the walk ends on an arm, or in a
+# child hanging there).  The walk runs from end1 through the pivot to end2;
+# with fewer than 2 free ends, end1 (then end2) is pinned to the pivot.
 # Emission turns a record into items, popped off an explicit stack (a
 # vertex, or a neighbouring block to walk with 0 or 1 free ends), so the
 # depth of the block tree does not matter.
 #
 # Every DP value folds two keys into one integer: unit * length + revisits,
-# where a revisit is a step onto a vertex the walk has already visited.  A
-# step out onto a new vertex weighs `unit`, a step back weighs `unit + 1`.
+# where a revisit is a step onto a vertex the walk has already visited.
+# The walk's step weights are one pair, `weights = (new, back) = (unit,
+# unit + 1)`: a step out onto a new vertex weighs `new`, a step back onto a
+# visited one weighs `back`.  `_Rerooted` holds the pair and passes it to
+# every step, root scan and bridge.  Every cycle edge of the vertex cactus
+# weighs 1, so once around a cycle of t vertices costs (t - 1) * new + back.
 # No candidate walk crosses an edge of the vertex cactus more than twice,
 # so with `unit` above twice its edge count the integers order walks by
 # length first and break length ties towards fewer revisits.  A revisit in
@@ -192,8 +197,8 @@ def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
 # at the first one whose closed cost, saving and skip come out as before.
 # The blocks that took a changed one are scored again as roots.  The
 # tables then equal a fresh build's on the blocks left, except for the
-# fold: `unit` is the first build's, and every step, root scan and walk
-# decoding takes it as an argument from the tables.  It exceeds twice the
+# fold: the weights are the first build's, and every step, root scan and
+# walk decoding takes them from the tables.  Their `unit` exceeds twice the
 # edge count of every smaller graph too, so it orders walks just as the
 # fresh build's smaller unit does.
 # ---------------------------------------------------------------------------
@@ -258,20 +263,12 @@ def dp_single_vertex(closed: int, top: list, ends: tuple[int, ...]):
     return out
 
 
-def _arm_positions(t: int, entry: int, removal: int) -> tuple[list[int], list[int]]:
-    """Split the cycle (positions mod t) at the removed edge (removal,
-    removal+1) into the two arms leaving `entry`."""
-    right = []
-    p = entry
-    while p != removal:
-        p = (p + 1) % t
-        right.append(p)
-    left = []
-    p = entry
-    while p != (removal + 1) % t:
-        p = (p - 1) % t
-        left.append(p)
-    return right, left
+def _arms(seq: list, entry: int) -> tuple[list, list]:
+    """The cycle `seq` read from its pivot at `entry`, clockwise and
+    counter-clockwise, the pivot left out.  Every right arm is a prefix of
+    the first, every left arm of the second."""
+    before, after = seq[:entry], seq[entry + 1:]
+    return after + before, before[::-1] + after[::-1]
 
 
 def _arm_table(top_at: list, back: int):
@@ -310,40 +307,39 @@ def _arm_end(name: str, saving: list, src: list, d: int):
 _SHORTFALLS = ((2, 0), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
 
 
-def dp_cycle(top_at: list, perim: int, closed: int, entry: int, at_entry: list,
-             unit: int, ends: tuple[int, ...]):
+def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
+             weights: tuple[int, int], ends: tuple[int, ...]):
     """DP step for a cycle block with its pivot at position `entry`.
 
     `top_at[p]` lists the children at position p with the best savings,
     largest first, or is None when p has no neighbours; `closed` is the
-    children's round trips and `perim` the walk once around the cycle.
-    `at_entry` holds the walk-end options (saving, end) at the pivot, less
-    the neighbour the block is seen from.
+    children's round trips.  `at_entry` holds the walk-end options
+    (saving, end) at the pivot, less the neighbour the block is seen from.
     Candidates: walk the full perimeter, or pick one cycle edge to leave
     unwalked and treat the rest as a chain with two arms (the walk may
     stop one or two vertices short of an arm tip when adjacency still
     covers the rest).  Each arm holds at most one free end and the pivot's
-    children the rest.  Values are folded with `unit` (see above).
+    children the rest.  Values are folded with the step `weights`, (new,
+    back) (see above).
     Returns [(value, record)] for each free-end count in `ends`, each the
     first strict minimum in candidate order.
     """
     t = len(top_at)
-    back = unit + 1
-    step = unit + back
-    # every right arm is a prefix of the clockwise sequence from the pivot,
-    # every left arm of the counter-clockwise one
-    before, after = top_at[:entry], top_at[entry + 1:]
-    sav_r, src_r, deep_r = _arm_table(after + before, back)
-    sav_l, src_l, deep_l = _arm_table(before[::-1] + after[::-1], back)
+    new, back = weights
+    step = new + back
+    right, left = _arms(top_at, entry)
+    sav_r, src_r, deep_r = _arm_table(right, back)
+    sav_l, src_l, deep_l = _arm_table(left, back)
     e0 = at_entry[0][0] if at_entry else 0
     e1 = at_entry[1][0] if len(at_entry) > 1 else 0
-    # the first minimum for 0, 1 and 2 free ends: value and (j, a, b),
-    # with j None for the perimeter
-    v0 = perim + closed
+    # the first minimum for 0, 1 and 2 free ends: value and arm depths
+    # (a, b), None for once around
+    v0 = (t - 1) * new + back + closed
     v1, v2 = v0 - e0, v0 - e0 - e1
-    w0 = w1 = w2 = (None, 0, 0)
+    w0 = w1 = w2 = None
     for j in range(t):
-        # edge (j, j + 1) unwalked: arm lengths as in _arm_positions
+        # edge (j, j + 1) unwalked: the right arm runs to j, the left arm
+        # back round to j + 1
         m_r = (j - entry) % t
         m_l = t - 1 - m_r
         free_r, free_l = m_r - deep_r[m_r], m_l - deep_l[m_l]
@@ -353,25 +349,26 @@ def dp_cycle(top_at: list, perim: int, closed: int, entry: int, at_entry: list,
             a, b = m_r - short_r, m_l - short_l
             value = closed + (a + b) * step
             if value < v0:
-                v0, w0 = value, (j, a, b)
+                v0, w0 = value, (a, b)
             hi, lo = sav_r[a], sav_l[b]
             if lo > hi:
                 hi, lo = lo, hi
             top1 = hi if hi > e0 else e0
             if value - top1 < v1:
-                v1, w1 = value - top1, (j, a, b)
+                v1, w1 = value - top1, (a, b)
             # the two largest of hi, lo, e0 and e1, knowing e0 >= e1
             top2 = hi + (lo if lo >= e0 else e0) if hi >= e0 else e0 + (hi if hi > e1 else e1)
             if value - top2 < v2:
-                v2, w2 = value - top2, (j, a, b)
+                v2, w2 = value - top2, (a, b)
     out = []
     for e in ends:
-        value, (j, a, b) = ((v0, w0), (v1, w1), (v2, w2))[e]
-        if j is None:
+        value, depths = ((v0, w0), (v1, w1), (v2, w2))[e]
+        if depths is None:
             out.append((value, _record(entry, ("perim",), at_entry, e)))
         else:
+            a, b = depths
             arms = [_arm_end("armR", sav_r, src_r, a), _arm_end("armL", sav_l, src_l, b)]
-            out.append((value, _record(entry, ("chain", j, a, b),
+            out.append((value, _record(entry, ("chain", a, b),
                                        _top_ends(arms + at_entry, e), e)))
     return out
 
@@ -401,11 +398,12 @@ def _pairs(first: list, second: list) -> list:
     return [*accumulate(map(add, accumulate(first, max, initial=_NO_PAIR), second), max)]
 
 
-def cycle_root(top_at: list, perim: int, closed: int, unit: int) -> tuple[int, int]:
+def cycle_root(top_at: list, closed: int, weights: tuple[int, int]) -> tuple[int, int]:
     """The least over all pivots of `dp_cycle`'s value for 2 free ends,
     and the first pivot that reaches it, from integers alone."""
     t = len(top_at)
-    back, step = unit + 1, 2 * unit + 1
+    new, back = weights
+    step = new + back
     c = [top[0].saving if top else 0 for top in top_at]
     d = [sum(x.saving for x in top) if top else 0 for top in top_at]
     # over all positions: one that an arc leaves out has d = 0, and every
@@ -423,7 +421,7 @@ def cycle_root(top_at: list, perim: int, closed: int, unit: int) -> tuple[int, i
     across_suf = [*accumulate(reversed(across), max)][::-1]
     # once around with both ends at one position; then the arcs less one
     # edge, which hold every pair and cost the same
-    least = min(perim * t - double,
+    least = min(((t - 1) * new + back) * t - double,
                 (t - 1) * step * t - max(suf[0], double, *map(add, across_suf[1:], second_pre)))
     for r in range(t):
         for s in (1, 2):
@@ -473,7 +471,9 @@ class _Rerooted:
 
     def __init__(self, tvc: WeightedVertexCactus, bt: BlockTree, start: int = 0):
         self.bt = bt
-        self.unit = sum(len(a) for a in tvc.adjacency) + 1  # the fold's step weight
+        unit = sum(len(a) for a in tvc.adjacency) + 1
+        # (new, back): a step onto a new vertex, a step back onto a visited one
+        self.weights = (unit, unit + 1)
         # handed[b][towards]: the contribution b handed its neighbour `towards`
         self.handed: list[dict[int, ChildContribution]] = [{} for _ in bt.blocks]
         # what the step of each block reads of its neighbours' contributions,
@@ -486,17 +486,10 @@ class _Rerooted:
         # in the _order_key order of what `other` hands b: by other's attach
         # vertex, then by block
         self.bridge: list[dict[int, tuple[int, int, int]]] = []
-        self.perim: dict[int, int] = {}
-        for b, (kind, verts) in enumerate(bt.blocks):
+        for b, (_, verts) in enumerate(bt.blocks):
             pos = {v: i for i, v in enumerate(verts)}
             self.bridge.append({other: (w, own, pos[own]) for other, w, own, _theirs
                                 in sorted(bt.tree[b], key=lambda e: (e[3], e[0]))})
-            if kind == "cycle":
-                t = len(verts)
-                weight = sum(next(wt for nb, wt in tvc.adjacency[verts[i]]
-                                  if nb == verts[(i + 1) % t]) for i in range(t))
-                # once around: one revisit, the step back onto the pivot
-                self.perim[b] = self.unit * weight + 1
         parent = {start: -1}
         order = [start]
         for b in order:
@@ -534,19 +527,19 @@ class _Rerooted:
                     for c in top_at[pivot] or () if c is not seen]
         if self.bt.blocks[b][0] == "vertex":
             return dp_single_vertex(closed, at_pivot, ends)
-        return dp_cycle(top_at, self.perim[b], closed, pivot, at_pivot, self.unit, ends)
+        return dp_cycle(top_at, closed, pivot, at_pivot, self.weights, ends)
 
     def _push(self, b: int, towards: int, seen=None) -> None:
         """Block b seen across its bridge to `towards`, handed to `towards`
         as a child contribution; `seen` is what `towards` handed b."""
         w, own, e_pos = self.bridge[b][towards]
         (d_l, closed), (d_p, open_) = self._step(b, seen, e_pos, (0, 1))
-        out, back = self.unit, self.unit + 1
+        new, back = self.weights
         c = self.handed[b][towards] = ChildContribution(
             block=b,
             entry=own,
             # over the bridge onto a new vertex, back as a revisit
-            closed_cost=d_l + w * (out + back),
+            closed_cost=d_l + w * (new + back),
             saving=d_l - d_p + w * back,
             skipped=self.bt.blocks[b][0] == "vertex" and len(self.bridge[b]) == 1,
             records=(closed, open_),
@@ -614,7 +607,7 @@ class _Rerooted:
         first pivot that reaches it."""
         if self.bt.blocks[b][0] == "vertex":
             return self.closed[b] - sum(c.saving for c in self.top_at[b][0] or ()), 0
-        return cycle_root(self.top_at[b], self.perim[b], self.closed[b], self.unit)
+        return cycle_root(self.top_at[b], self.closed[b], self.weights)
 
     # -- reconstruction ----------------------------------------------------
     # Item lists mix vertices with (free ends, block, up) tokens: walk
@@ -647,10 +640,9 @@ class _Rerooted:
     def _perimeter(self, b: int, pos_kids, start: int, omit=()) -> list:
         """Once around cycle b from position `start` and back to it."""
         verts = self.bt.blocks[b][1]
-        t = len(verts)
+        clockwise, _ = _arms([*range(len(verts))], start)
         items = [verts[start]] + self._exc(b, pos_kids, start, omit)
-        for i in range(1, t):
-            p = (start + i) % t
+        for p in clockwise:
             items += [verts[p]] + self._exc(b, pos_kids, p)
         return items + [verts[start]]
 
@@ -685,9 +677,8 @@ class _Rerooted:
         else:
             middle = [verts[p]] + self._exc(b, pos_kids, p, omit=at_pivot)
         if mode[0] == "chain":
-            _, j, a, depth_l = mode
-            right, left = _arm_positions(len(verts), p, j)
-            arms = {"armR": (right, a), "armL": (left, depth_l)}
+            right, left = _arms([*range(len(verts))], p)
+            arms = {"armR": (right, mode[1]), "armL": (left, mode[2])}
             open_arms = {e[0] for e in ends if e is not None}
             for name, (arm, depth) in arms.items():
                 if name not in open_arms:
@@ -738,7 +729,7 @@ class CactusSolver:
     vertices left would give, in relative order: vertex ids, copy ids and
     block ids, and the cycles with their listings and hubs.  Those orders
     are the solver's only tie-breaks, so `walk` returns the fresh build's
-    walk.  The fold's `unit` stays the one of the first build.  It is
+    walk.  The step weights stay the first build's.  Their `unit` is
     larger than a fresh build's and orders any two candidate walks the
     same way, since every candidate makes fewer revisits than either unit.
     """
@@ -782,7 +773,7 @@ class CactusSolver:
             path = CoveringPath.from_vertices(g, [tvc.origin[v] for v in verts[: len(verts) - 2]])
         else:
             value, root, record = solve_root_choices(dp)
-            length, revisits = divmod(value, dp.unit)
+            length, revisits = divmod(value, dp.weights[0])
             t_walk = dp.emit_root(root, record)
             assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
             g_walk: list[int] = []

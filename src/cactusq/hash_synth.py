@@ -94,20 +94,20 @@ def theorem1_cost(n: int, k: int, k_distinct: int, l: int) -> int:
     return (3 * k + 2 * (n - k_distinct)) * l - 5 * l + 2
 
 
+def _check_per_control(g: Graph, count: int) -> None:
+    """Refuse an angle or coefficient count other than one per control."""
+    if count != g.n - 1:
+        raise ValueError(f"need one coefficient per control ({g.n - 1}), got {count}")
+
+
 def _angle_of(angles, g: Graph, target: int):
-    """Normalize the angle spec to a per-vertex lookup (controls only)."""
+    """The angle lookup of the controls: `angles` is a dict by vertex, or a
+    sequence with one angle per control, every vertex but `target` in
+    ascending order."""
     if isinstance(angles, dict):
-        return lambda v: angles[v]
-    seq = list(angles)
-    if len(seq) == g.n:
-        return lambda v: seq[v]
-    if len(seq) == g.n - 1:
-        controls = [v for v in range(g.n) if v != target]
-        table = dict(zip(controls, seq))
-        return lambda v: table[v]
-    raise ValueError(
-        f"need {g.n} per-vertex or {g.n - 1} per-control angles, got {len(seq)}"
-    )
+        return angles.__getitem__
+    _check_per_control(g, len(angles))
+    return dict(zip((v for v in range(g.n) if v != target), angles)).__getitem__
 
 
 def target_walk(g: Graph, verts, controls: set[int], descending: bool,
@@ -226,11 +226,14 @@ def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int,
 
 
 def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult:
-    """l-fold hashing operator on the device graph, with boundary merges."""
+    """l-fold hashing operator on the device graph, with boundary merges.
+    `params` holds one coefficient per control: every vertex but the
+    walk's start, in ascending order."""
     if l < 1:
         raise ValueError("application count must be at least 1")
     if g.n < 2:
         raise ValueError("hashing needs at least 2 qubits")
+    _check_per_control(g, len(params.angles))
     path = solve_cactus(g)
     per_logical = _angle_of(params.angles, g, path.vertices[0])
     circuit = Circuit(g.n, device=g)
@@ -304,11 +307,7 @@ def build_modp_automaton(g: Graph, l: int, params: HashParams) -> Circuit:
         raise ValueError("application count must be nonnegative")
     if g.n < 2:
         raise ValueError("the automaton needs at least 2 qubits")
-    if len(params.coefficients) != g.n - 1:
-        raise ValueError(
-            f"need one coefficient per control ({g.n - 1}), "
-            f"got {len(params.coefficients)}"
-        )
+    _check_per_control(g, len(params.coefficients))
     path = solve_cactus(g)
     target = path.vertices[0]
     controls = [v for v in range(g.n) if v != target]

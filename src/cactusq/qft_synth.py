@@ -38,8 +38,7 @@ class CascadeRecord:
     """Everything needed to emit one cascade."""
 
     r: int
-    path: tuple[int, ...]
-    target_vertex: int
+    path: tuple[int, ...]  # the target starts at path[0]
     park: int | None
     survivors: tuple[int, ...]
     d_of: tuple[tuple[int, int], ...]  # (control vertex, phase order)
@@ -152,7 +151,6 @@ def construct_s(g: Graph) -> CascadePlan:
             CascadeRecord(
                 r=r,
                 path=path,
-                target_vertex=path[0],
                 park=park,
                 survivors=survivors,
                 d_of=tuple(sorted(d_of)),

@@ -108,6 +108,26 @@ class TestVertexCactus:
                     edges.add(tuple(sorted((t.origin[a], t.origin[b]))))
         assert edges == {tuple(sorted(e)) for e in g.edges()}
 
+    def test_cycle_edges_weigh_one_and_zero_edges_join_copies(self):
+        # the covering-walk DP prices once around a cycle of t copies as
+        # t steps of weight 1, and a weight-0 edge joins copies of one vertex
+        graphs = [fig3_cactus(), chain_of_squares(1), chain_of_squares(7)]
+        graphs += [random_cactus(n, seed, p) for n in (12, 40, 90) for seed in range(4)
+                   for p in (0.45, 0.9)]
+        cycles = zero_edges = 0
+        for g in graphs:
+            t = build_vertex_cactus(g, validate_cactus(g))
+            weight = {(a, b): w for a in range(t.n) for b, w in t.neighbors(a)}
+            for cyc in t.cycles:
+                cycles += 1
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    assert weight[a, b] == 1, (g.edges(), cyc)
+            for (a, b), w in weight.items():
+                if w == 0:
+                    zero_edges += 1
+                    assert t.origin[a] == t.origin[b], (g.edges(), a, b)
+        assert cycles and zero_edges
+
 
 class TestBlockTree:
     def test_line_blocks_are_vertices(self):

@@ -241,6 +241,15 @@ class TestGoodSets:
         params = HashParams.from_coefficients(5, 0.25, (1, 2))
         assert params.angles == pytest.approx((4 * np.pi / 5, 8 * np.pi / 5))
 
+    def test_synthesis_needs_one_coefficient_per_control(self):
+        # t = 19 for p = 5, epsilon = 0.25: one per control of a 20-vertex
+        # cactus, but one per vertex of a 19-vertex one, which is refused
+        params = find_good_set(5, 0.25)
+        assert len(params.coefficients) == 19
+        assert synthesize_hash(random_cactus(20, 0), 1, params).path.k >= 1
+        with pytest.raises(ValueError, match="one coefficient per control"):
+            synthesize_hash(random_cactus(19, 0), 1, params)
+
 
 class TestModPAutomaton:
     def test_zero_folds_accepts(self):

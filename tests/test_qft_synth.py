@@ -111,6 +111,7 @@ class TestPendantRemoval:
         sub, old = g.induced_subgraph(alive)
         fresh = CactusSolver(sub)
         kept, new = solver.dp, fresh.dp
+        unit, fresh_unit = kept.weights[0], new.weights[0]
         live = [b for b, v in enumerate(kept.value) if v is not None]
         assert len(live) == fresh.bt.n_blocks == solver.blocks
         renumber = {b: i for i, b in enumerate(live)}
@@ -120,14 +121,14 @@ class TestPendantRemoval:
             assert kind == fkind
             assert ([solver.tvc.origin[v] for v in verts]
                     == [old[fresh.tvc.origin[v]] for v in fverts])
-            assert divmod(kept.closed[b], kept.unit) == divmod(new.closed[fb], new.unit)
-            assert divmod(kept.value[b], kept.unit) == divmod(new.value[fb], new.unit)
+            assert divmod(kept.closed[b], unit) == divmod(new.closed[fb], fresh_unit)
+            assert divmod(kept.value[b], unit) == divmod(new.value[fb], fresh_unit)
             for top, ftop in zip(kept.top_at[b], new.top_at[fb], strict=True):
                 if top is None or ftop is None:
                     assert top is ftop is None
                 else:
-                    assert ([(renumber[c.block], divmod(c.saving, kept.unit)) for c in top]
-                            == [(c.block, divmod(c.saving, new.unit)) for c in ftop])
+                    assert ([(renumber[c.block], divmod(c.saving, unit)) for c in top]
+                            == [(c.block, divmod(c.saving, fresh_unit)) for c in ftop])
         assert solver.walk().vertices == tuple(old[v] for v in fresh.walk().vertices)
 
     def remove_pendants(self, g, seed):
@@ -203,7 +204,7 @@ class TestCascadeForPath:
     def test_park_on_the_walk_fired_as_a_step(self):
         # a park the walk already fired gets a bare park SWAP
         g = cycle(4)
-        rec = CascadeRecord(r=1, path=(0, 1, 2), target_vertex=0, park=1,
+        rec = CascadeRecord(r=1, path=(0, 1, 2), park=1,
                             survivors=(0, 1, 2, 3), d_of=((1, 2), (2, 3), (3, 4)))
         c = cascade_for_path(g, rec, Circuit(g.n, device=g))
         assert [(gg.kind, gg.qubits, gg.d) for gg in c.gates] == [
@@ -219,7 +220,7 @@ class TestCascadeForPath:
     def test_walk_back_over_its_start(self):
         # the target's start vertex never fires, however often it is passed
         g = line(4)
-        rec = CascadeRecord(r=1, path=(1, 0, 1, 2), target_vertex=1, park=3,
+        rec = CascadeRecord(r=1, path=(1, 0, 1, 2), park=3,
                             survivors=(0, 1, 2, 3), d_of=((0, 2), (2, 3), (3, 4)))
         c = cascade_for_path(g, rec, Circuit(g.n, device=g))
         assert sorted(gg.qubits[0] for gg in c.gates if gg.kind == "CRd") == [0, 2, 3]
