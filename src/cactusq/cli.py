@@ -212,9 +212,8 @@ def _corollary1(n: int, l: int, value: int) -> dict:
     return {"low": low, "high": high, "ok": low <= value <= high}
 
 
-def _hash_report(g: Graph, result, params: HashParams, seed: int) -> dict:
+def _hash_report(g: Graph, l: int, result, params: HashParams, seed: int) -> dict:
     n = g.n
-    l = result.l
     rep: CostReport = result.cost
     return {
         "n": n,
@@ -254,7 +253,7 @@ def hash_cmd(graph_spec, l, p, epsilon, seed, emit, report_flag, out) -> None:
         raise ValueError("hashing needs at least 2 qubits")
     params = find_good_set(p, epsilon, seed=seed, size=g.n - 1)
     result = synthesize_hash(g, l, params)
-    _emit_and_report(result.circuit, _hash_report(g, result, params, seed),
+    _emit_and_report(result.circuit, _hash_report(g, l, result, params, seed),
                      emit, report_flag, out)
 
 

@@ -29,6 +29,9 @@ from .graph_core import (
     validate_cactus,
 )
 
+# largest vertex count the exponential brute-force walks accept
+ORACLE_LIMIT = 16
+
 
 class TooLarge(Exception):
     """Graph exceeds the brute-force state-space limit."""
@@ -76,12 +79,12 @@ class CoveringPath:
         return len(self.covered) == g.n
 
 
-def _shortest_walk(g: Graph, limit: int, mask_of) -> CoveringPath:
+def _shortest_walk(g: Graph, mask_of) -> CoveringPath:
     """Shortest walk whose vertices' bit masks, `mask_of(v)`, together
     cover every vertex, by BFS over (vertex, union of the masks so far).
-    Exponential in n; raises TooLarge above `limit` vertices."""
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds the oracle limit {limit}")
+    Exponential in n; raises TooLarge above ORACLE_LIMIT vertices."""
+    if g.n > ORACLE_LIMIT:
+        raise TooLarge(f"n={g.n} exceeds the oracle limit {ORACLE_LIMIT}")
     full = (1 << g.n) - 1
     mask = [mask_of(v) for v in range(g.n)]
     parent: dict[tuple[int, int], tuple[int, int] | None] = {}
@@ -109,17 +112,17 @@ def _shortest_walk(g: Graph, limit: int, mask_of) -> CoveringPath:
     raise AssertionError("a connected graph admits such a walk")
 
 
-def brute_force_oracle(g: Graph, limit: int = 16) -> CoveringPath:
+def brute_force_oracle(g: Graph) -> CoveringPath:
     """Exact shortest 1-covering walk by BFS over (vertex, covered-set).
 
-    Exponential in n; raises TooLarge above `limit` vertices.
+    Exponential in n; raises TooLarge above ORACLE_LIMIT vertices.
     """
-    return _shortest_walk(g, limit, lambda v: (1 << v) | sum(1 << u for u in g.adjacency[v]))
+    return _shortest_walk(g, lambda v: (1 << v) | sum(1 << u for u in g.adjacency[v]))
 
 
-def brute_force_visit_all(g: Graph, limit: int = 16) -> CoveringPath:
+def brute_force_visit_all(g: Graph) -> CoveringPath:
     """Shortest walk visiting every vertex (BFS over (vertex, visited-set))."""
-    return _shortest_walk(g, limit, lambda v: 1 << v)
+    return _shortest_walk(g, lambda v: 1 << v)
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,9 @@ def build_block_tree(t: WeightedVertexCactus) -> BlockTree:
     """Group the vertex cactus into cycle blocks and single-vertex blocks.
 
     Bridges (every edge not inside a cycle, including all weight-0 edges)
-    become the tree edges.
+    become the tree edges.  An edge is a bridge exactly when its ends lie
+    in different blocks: a cactus has no chords, so every edge between two
+    vertices of one cycle is an edge of that cycle.
     """
     block_of = [-1] * t.n
     blocks: list[tuple[str, tuple[int, ...]]] = []
@@ -271,15 +273,11 @@ def build_block_tree(t: WeightedVertexCactus) -> BlockTree:
         if block_of[v] == -1:
             block_of[v] = len(blocks)
             blocks.append(("vertex", (v,)))
-    cycle_edges: set[tuple[int, int]] = set()
-    for cyc in t.cycles:
-        for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-            cycle_edges.add((min(a, b), max(a, b)))
     tree: list[list[tuple[int, int, int, int]]] = [[] for _ in blocks]
     for a in range(t.n):
         for b, w in t.adjacency[a]:
-            if a < b and (a, b) not in cycle_edges:
-                ba, bb = block_of[a], block_of[b]
+            ba, bb = block_of[a], block_of[b]
+            if a < b and ba != bb:
                 tree[ba].append((bb, w, a, b))
                 tree[bb].append((ba, w, b, a))
     return BlockTree(

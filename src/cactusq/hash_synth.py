@@ -11,9 +11,10 @@ one double-angle rotation.  The reverse SWAPs undo the forward ones, so
 the qubits are back in place after every pair of applications and the
 fold repeats with a period of two: each distinct application is built
 once and its gates are appended again for every later one.  Also
-contains the Theorem-style cost formula, the good-coefficient-set search,
-and the full MOD_p automaton circuit (H sandwich around the repeated
-operator).
+contains the Theorem-style cost formula, the MOD_p coefficient math (the
+good-set check and the automaton's closed-form acceptance), the
+good-coefficient-set search, and the full MOD_p automaton circuit (H
+sandwich around the repeated operator).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from itertools import zip_longest
 from .circuit_ir import Circuit, CostReport, Gate, cnot_cost
 from .covering_path import CoveringPath, solve_cactus
 from .graph_core import Graph
-from .verify_sim import check_good_set
+
+# random coefficient sets drawn by find_good_set before it gives up
+MAX_TRIALS = 20000
 
 
 class PathNotCovering(Exception):
@@ -85,7 +88,6 @@ class HashSynthesisResult:
     path: CoveringPath
     cost: CostReport
     target_start: int
-    l: int
 
 
 def theorem1_cost(n: int, k: int, k_distinct: int, l: int) -> int:
@@ -188,12 +190,13 @@ def _append_merged(c: Circuit, gates: list[Gate]) -> None:
     c.extend(gates)
 
 
-def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int,
+def _fold_applications(g: Graph, path: CoveringPath, angles, l: int,
                        circuit: Circuit) -> None:
     """Append l applications to `circuit`, alternating forward/reverse, with
     boundary merges.
 
-    Angles attach to logical qubits, and the SWAPs shift logical qubits
+    `angles` (read by `_angle_of`, with the path's first vertex as the
+    target) attach to logical qubits, and the SWAPs shift logical qubits
     along the path, so each application's per-vertex angle table is built
     from the occupancy at that application's start (any control fires
     before the walk first disturbs its vertex, so that table is exact).  A
@@ -206,6 +209,7 @@ def _fold_applications(g: Graph, path: CoveringPath, per_logical, l: int,
     new gate.
     """
     forward = list(path.vertices)
+    per_logical = _angle_of(angles, g, forward[0])
     occ = list(range(g.n))  # occ[u] = logical qubit at vertex u after a forward pass
     for cur, nxt in zip(forward, forward[1:]):
         occ[cur], occ[nxt] = occ[nxt], occ[cur]
@@ -235,9 +239,8 @@ def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult
         raise ValueError("hashing needs at least 2 qubits")
     _check_per_control(g, len(params.angles))
     path = solve_cactus(g)
-    per_logical = _angle_of(params.angles, g, path.vertices[0])
     circuit = Circuit(g.n, device=g)
-    _fold_applications(g, path, per_logical, l, circuit)
+    _fold_applications(g, path, params.angles, l, circuit)
     cost = CostReport(
         cnot_count=cnot_cost(circuit),
         formula_value=theorem1_cost(g.n, path.k, path.k_distinct, l),
@@ -249,7 +252,6 @@ def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult
         path=path,
         cost=cost,
         target_start=path.vertices[0],
-        l=l,
     )
 
 
@@ -264,38 +266,55 @@ def hash_reference_circuit(g: Graph, l: int, angles, target_start: int) -> Circu
     return c
 
 
-def _induced_ok(ks, p: int, epsilon: float) -> bool:
-    """Bound the automaton's all-zero amplitude at every nonzero residue:
-    the w independent controls realize all 2^w subset sums, whose cosine
-    average factors as prod_j cos(pi g k_j / p) * cos(pi g sum(k) / p)."""
-    total = sum(ks)
+def check_good_set(coefficients, p: int, epsilon: float) -> tuple[bool, int]:
+    """Exhaustively check max_g (mean_j cos(2 pi k_j g / p))^2 < epsilon
+    over g = 1..p-1; returns (verdict, worst g)."""
+    if not coefficients:
+        raise ValueError("empty coefficient set")
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+    t = len(coefficients)
+    worst_g, worst_val = 1, -1.0
     for g in range(1, p):
-        amp = math.cos(math.pi * g * total / p)
-        for k in ks:
-            amp *= math.cos(math.pi * g * k / p)
-        if amp * amp >= epsilon:
-            return False
-    return True
+        mean = sum(math.cos(2 * math.pi * kj * g / p) for kj in coefficients) / t
+        val = mean * mean
+        if val > worst_val:
+            worst_g, worst_val = g, val
+    return worst_val < epsilon, worst_g
+
+
+def modp_closed_form(coefficients, l: int, p: int) -> float:
+    """All-zero acceptance probability of the automaton circuit in closed
+    form: with w controls of coefficients kappa_j, the amplitude is
+    (1/2^w) sum_c cos(2 pi l <c, kappa> / p) over binary vectors c, which
+    factors as prod_j cos(pi l kappa_j / p) * cos(pi l sum(kappa) / p).
+    """
+    amp = math.cos(math.pi * l * sum(coefficients) / p)
+    for kj in coefficients:
+        amp *= math.cos(math.pi * l * kj / p)
+    return amp * amp
 
 
 def find_good_set(p: int, epsilon: float, seed: int = 0,
-                  max_trials: int = 20000, size: int | None = None) -> HashParams:
+                  size: int | None = None) -> HashParams:
     """Random search for a coefficient set keeping every nonzero residue's
-    acceptance below epsilon (both per the direct mean-cosine condition and
-    for the subset-sum automaton).  Deterministic under `seed`.
+    acceptance below epsilon, both per the direct mean-cosine condition
+    (`check_good_set`) and for the subset-sum automaton
+    (`modp_closed_form`).  Deterministic under `seed`.
     """
     t = _fingerprint_count(p, epsilon)
     draw = size if size is not None else t
     if draw < 1:
         raise ValueError("a coefficient set needs at least one coefficient")
     rng = random.Random(seed)
-    for _ in range(max_trials):
+    for _ in range(MAX_TRIALS):
         ks = tuple(rng.randrange(1, p) for _ in range(draw))
-        if _induced_ok(ks, p, epsilon) and check_good_set(ks, p, epsilon)[0]:
+        if (all(modp_closed_form(ks, g, p) < epsilon for g in range(1, p))
+                and check_good_set(ks, p, epsilon)[0]):
             return HashParams.from_coefficients(p, epsilon, ks)
     raise SearchExhausted(
         f"no good set of size {draw} for p={p}, epsilon={epsilon} "
-        f"in {max_trials} trials"
+        f"in {MAX_TRIALS} trials"
     )
 
 
@@ -314,9 +333,7 @@ def build_modp_automaton(g: Graph, l: int, params: HashParams) -> Circuit:
     circuit = Circuit(g.n, device=g)
     for v in controls:
         circuit.h(v)
-    if l > 0:
-        per_logical = _angle_of(params.angles, g, target)
-        _fold_applications(g, path, per_logical, l, circuit)
+    _fold_applications(g, path, params.angles, l, circuit)
     final = circuit.final_permutation
     for v in controls:
         circuit.h(final[v])

@@ -2,8 +2,10 @@
 
 Contents: gate matrices (matching the conventions in `circuit_ir`),
 `statevector` and `unitary_of` (n <= 12), `equiv_up_to_permutation` with
-global-phase removal, the QFT reference matrices, and the MOD_p automaton
-acceptance probability with its closed form.
+global-phase removal, the QFT reference matrices, and the simulated
+acceptance probability of the MOD_p automaton (its closed form and the
+good-set check live in `hash_synth`, with the rest of the coefficient
+math).
 
 Convention: qubit 0 is the least-significant bit of basis-state indices,
 so basis index sum(b_q << q) has qubit q's bit at weight 2^q.
@@ -15,10 +17,11 @@ tensor axes, and the axis order is restored at the end: by one `moveaxis`
 for a state, and for a unitary by moving its rows in place along the
 cycles of the relabel, so that only one unitary is ever held.  A
 controlled gate acts only on the view where its control axis reads 1,
-and applies there its target core, the lower-right 2x2 block of
-`gate_matrix`.  A one-qubit core on the two slices of its target axis
-scales them in place when it is diagonal (Rz, Rk, CRd's phase), and
-mixes them otherwise (H, X, Ry) with one half-size temporary.
+and applies there its target core: `_core`, the 2x2 matrix of which
+`gate_matrix` builds its 4x4 forms.  A one-qubit core on the two slices
+of its target axis scales them in place when it is diagonal (Rz, Rk,
+CRd's phase), and mixes them otherwise (H, X, Ry) with one half-size
+temporary.
 """
 
 from __future__ import annotations
@@ -29,8 +32,12 @@ import numpy as np
 
 from .circuit_ir import Circuit, Gate
 from .graph_core import Graph
+from .hash_synth import build_modp_automaton
 
 MAX_QUBITS = 12
+
+# largest entry-wise deviation is_unitary and equiv_up_to_permutation accept
+TOL = 1e-9
 
 # entries of v compared per block of columns in equiv_up_to_permutation
 _COMPARE_ENTRIES = 1 << 16
@@ -43,36 +50,37 @@ class TooManyQubits(Exception):
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """Unitary of a single gate; two-qubit matrices index (control, target)
-    pairs in the order 00, 01, 10, 11."""
+def _core(g: Gate) -> np.ndarray:
+    """The 2x2 matrix gate `g` applies to its target (for a controlled
+    gate, where its control reads 1): a controlled gate shares the core of
+    its one-qubit kind, CNOT X's and CRd Rk's."""
     k = g.kind
     if k == "H":
         return np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-    if k == "X":
+    if k in ("X", "CNOT"):
         return np.array([[0, 1], [1, 0]], dtype=complex)
-    if k == "Ry":
+    if k in ("Ry", "CRy"):
         c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if k == "Rz":
+    if k in ("Rz", "CRz"):
         return np.diag([np.exp(0.5j * g.theta), np.exp(-0.5j * g.theta)])
-    if k == "Rk":
+    if k in ("Rk", "CRd"):
         return np.diag([1.0, np.exp(1j * math.pi / 2 ** (g.d - 1))])
-    if k == "CNOT":
-        m = np.eye(4, dtype=complex)
-        m[[2, 3]] = m[[3, 2]]
-        return m
-    if k == "SWAP":
+    raise AssertionError(f"unhandled gate kind {k}")
+
+
+def gate_matrix(g: Gate) -> np.ndarray:
+    """Unitary of a single gate; two-qubit matrices index (control, target)
+    pairs in the order 00, 01, 10, 11."""
+    if g.kind == "SWAP":
         m = np.eye(4, dtype=complex)
         m[[1, 2]] = m[[2, 1]]
         return m
-    if k in ("CRy", "CRz"):
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = gate_matrix(Gate(k[1:], (0,), theta=g.theta))
-        return m
-    if k == "CRd":
-        return np.diag([1.0, 1.0, 1.0, np.exp(1j * math.pi / 2 ** (g.d - 1))])
-    raise AssertionError(f"unhandled gate kind {k}")
+    if len(g.qubits) == 1:
+        return _core(g)
+    m = np.eye(4, dtype=complex)
+    m[2:, 2:] = _core(g)
+    return m
 
 
 def _half(axis: int, bit: int, control: int | None) -> tuple:
@@ -117,12 +125,8 @@ def _run(tensor: np.ndarray, c: Circuit) -> list[int]:
             a, b = g.qubits
             axis[a], axis[b] = axis[b], axis[a]
             continue
-        m = gate_matrix(g)
-        if len(g.qubits) == 1:
-            _apply_core(tensor, m, axis[g.qubits[0]])
-        else:
-            control, target = g.qubits
-            _apply_core(tensor, m[2:, 2:], axis[target], axis[control])
+        control = axis[g.qubits[0]] if len(g.qubits) == 2 else None
+        _apply_core(tensor, _core(g), axis[g.qubits[-1]], control)
     return axis
 
 
@@ -170,9 +174,9 @@ def unitary_of(c: Circuit) -> np.ndarray:
     return mat
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     dim = u.shape[0]
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= tol)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= TOL)
 
 
 def permutation_vector(perm, n: int) -> np.ndarray:
@@ -184,8 +188,8 @@ def permutation_vector(perm, n: int) -> np.ndarray:
     return out
 
 
-def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray, perm=None,
-                            tol: float = 1e-9) -> tuple[bool, float]:
+def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray,
+                            perm=None) -> tuple[bool, float]:
     """Is u = e^{i phi} P(perm) v?  Returns (verdict, max deviation).
 
     `perm[q]` is the wire where logical qubit q of v ends up.  The global
@@ -215,7 +219,7 @@ def equiv_up_to_permutation(u: np.ndarray, v: np.ndarray, perm=None,
         block = v[rows, c:c + width] * phase
         block -= u[:, c:c + width]
         deviation = max(deviation, float(np.max(np.abs(block))))
-    return deviation <= tol, deviation
+    return deviation <= TOL, deviation
 
 
 def qft_matrix(n: int) -> np.ndarray:
@@ -246,39 +250,8 @@ def qft_reference_unitary(labels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def modp_closed_form(coefficients, l: int, p: int) -> float:
-    """All-zero acceptance probability of the automaton circuit in closed
-    form: with w controls of coefficients kappa_j, the amplitude is
-    (1/2^w) sum_c cos(2 pi l <c, kappa> / p) over binary vectors c, which
-    factors as prod_j cos(pi l kappa_j / p) * cos(pi l sum(kappa) / p).
-    """
-    amp = math.cos(math.pi * l * sum(coefficients) / p)
-    for kj in coefficients:
-        amp *= math.cos(math.pi * l * kj / p)
-    return amp * amp
-
-
 def modp_accept_probability(g: Graph, l: int, params) -> float:
     """Simulated probability of the all-zero outcome after the automaton."""
-    from .hash_synth import build_modp_automaton
-
     c = build_modp_automaton(g, l, params)
     psi = statevector(c)
     return float(abs(psi[0]) ** 2)
-
-
-def check_good_set(coefficients, p: int, epsilon: float) -> tuple[bool, int]:
-    """Exhaustively check max_g (mean_j cos(2 pi k_j g / p))^2 < epsilon
-    over g = 1..p-1; returns (verdict, worst g)."""
-    if not coefficients:
-        raise ValueError("empty coefficient set")
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    t = len(coefficients)
-    worst_g, worst_val = 1, -1.0
-    for g in range(1, p):
-        mean = sum(math.cos(2 * math.pi * kj * g / p) for kj in coefficients) / t
-        val = mean * mean
-        if val > worst_val:
-            worst_g, worst_val = g, val
-    return worst_val < epsilon, worst_g

@@ -30,6 +30,7 @@ from cactusq.hash_synth import (
     construct_for_path,
     find_good_set,
     hash_reference_circuit,
+    modp_closed_form,
     synthesize_hash,
     theorem1_cost,
 )
@@ -37,7 +38,6 @@ from cactusq.qft_synth import cascade_for_path, construct_s, synthesize_qft
 from cactusq.verify_sim import (
     equiv_up_to_permutation,
     modp_accept_probability,
-    modp_closed_form,
     qft_reference_unitary,
     unitary_of,
 )

@@ -22,13 +22,13 @@ from cactusq.hash_synth import (
     construct_for_path,
     find_good_set,
     hash_reference_circuit,
+    modp_closed_form,
     synthesize_hash,
     theorem1_cost,
 )
 from cactusq.verify_sim import (
     equiv_up_to_permutation,
     modp_accept_probability,
-    modp_closed_form,
     unitary_of,
 )
 

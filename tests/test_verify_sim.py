@@ -16,17 +16,15 @@ from cactusq import verify_sim
 from cactusq.circuit_ir import Circuit, Gate
 from cactusq.families import star
 from cactusq.graph_core import random_cactus
-from cactusq.hash_synth import HashParams
+from cactusq.hash_synth import HashParams, check_good_set, modp_closed_form
 from cactusq.qft_synth import synthesize_qft
 from cactusq.verify_sim import (
     MAX_QUBITS,
     TooManyQubits,
-    check_good_set,
     equiv_up_to_permutation,
     is_unitary,
     gate_matrix,
     modp_accept_probability,
-    modp_closed_form,
     permutation_vector,
     qft_matrix,
     qft_reference_unitary,
