@@ -245,7 +245,6 @@ class CostReport:
 
     cnot_count: int
     formula_value: int
-    formula_name: str
     parameters: dict = field(default_factory=dict)
 
     @property

@@ -267,10 +267,9 @@ def _qft_report(rep: CostReport) -> dict:
         "cnot_count": cn,
         "revisit_excess": p.get("revisit_excess", 0),
         "permutation_s": list(p["S"]),
-        "theorem3": {"bound": rep.formula_value, "ok": cn <= rep.formula_value},
+        "theorem3": {"bound": rep.formula_value, "ok": rep.within_bound},
+        "theorem2": {"bound": p["theorem2_bound"], "ok": cn <= p["theorem2_bound"]},
     }
-    if "theorem2_bound" in p:
-        report["theorem2"] = {"bound": p["theorem2_bound"], "ok": cn <= p["theorem2_bound"]}
     if "corollary2_bound" in p:
         report["corollary2"] = {"bound": p["corollary2_bound"], "ok": cn <= p["corollary2_bound"]}
     if "corollary3_high" in p:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, attrgetter
 
 from .graph_core import (
@@ -87,13 +87,9 @@ def _shortest_walk(g: Graph, mask_of) -> CoveringPath:
         raise TooLarge(f"n={g.n} exceeds the oracle limit {ORACLE_LIMIT}")
     full = (1 << g.n) - 1
     mask = [mask_of(v) for v in range(g.n)]
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-    queue: deque[tuple[int, int]] = deque()
-    for v in range(g.n):
-        state = (v, mask[v])
-        if state not in parent:
-            parent[state] = None
-            queue.append(state)
+    # the n start states, one per vertex
+    queue: deque[tuple[int, int]] = deque((v, mask[v]) for v in range(g.n))
+    parent: dict[tuple[int, int], tuple[int, int] | None] = dict.fromkeys(queue)
     while queue:
         v, seen = state = queue.popleft()
         if seen == full:
@@ -177,7 +173,13 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # with fewer than 2 free ends, end1 (then end2) is pinned to the pivot.
 # Emission turns a record into items, popped off an explicit stack (a
 # vertex, or a neighbouring block to walk with 0 or 1 free ends), so the
-# depth of the block tree does not matter.
+# depth of the block tree does not matter.  One walker decodes every arm
+# (`_walk_arm`): out to its depth with each vertex's child round trips,
+# back to the pivot or to where an end leaves it.  Once around is that
+# walker over the whole clockwise arm, plus the closing edge.  Every walk
+# is decoded from a record and checked the same way, a lone cycle's too:
+# its walk, every vertex but the last two of the listing, is the chain
+# record that takes the clockwise arm from position 0 to depth t - 3.
 #
 # Every DP value folds two keys into one integer: unit * length + revisits,
 # where a revisit is a step onto a vertex the walk has already visited.
@@ -267,19 +269,19 @@ def dp_single_vertex(closed: int, top: list, ends: tuple[int, ...]):
 
 
 def _arms(seq: list, entry: int) -> tuple[list, list]:
-    """The cycle `seq` read from its pivot at `entry`, clockwise and
-    counter-clockwise, the pivot left out.  Every right arm is a prefix of
-    the first, every left arm of the second."""
-    before, after = seq[:entry], seq[entry + 1:]
-    return after + before, before[::-1] + after[::-1]
+    """The cycle `seq` read clockwise and counter-clockwise from its pivot
+    at `entry`, each arm from the pivot on: its entry at depth d is at
+    index d.  Every right arm is a prefix of the first, every left arm of
+    the second."""
+    return seq[entry:] + seq[:entry], seq[entry::-1] + seq[:entry:-1]
 
 
-def _arm_table(top_at: list, back: int):
-    """Per depth d = 0..len(top_at) of the arm that visits these positions
-    in order: the saving of the best end of walk within depth d, where
-    that end leaves the arm (None at the tip, else (depth i, child)), and
-    the depth of the deepest vertex within d that must be visited (one
-    with neighbours, top_at not None).
+def _arm_table(arm: list, back: int):
+    """Per depth d = 0..len(arm) - 1 of `arm`, the top_at entries of a
+    cycle arm from the pivot at depth 0 on: the saving of the best end of
+    walk within depth d, where that end leaves the arm (None at the tip,
+    else (depth i, child)), and the depth of the deepest vertex within d
+    that must be visited (one with neighbours, its entry not None).
 
     Ending at depth i saves i steps back of weight `back`, plus the
     child's saving when the walk ends inside one.  A tie goes to the tip,
@@ -287,7 +289,7 @@ def _arm_table(top_at: list, back: int):
     """
     saving, src, deep = [0], [None], [0]
     best, best_src, tip = -1, None, 0
-    for d, top in enumerate(top_at, 1):
+    for d, top in enumerate(islice(arm, 1, None), 1):
         tip += back
         if top and tip + top[0].saving > best:
             best, best_src = tip + top[0].saving, (d, top[0].block)
@@ -640,31 +642,21 @@ class _Rerooted:
                 items += [(0, c.block, b), vtx]
         return items
 
-    def _perimeter(self, b: int, pos_kids, start: int, omit=()) -> list:
-        """Once around cycle b from position `start` and back to it."""
-        verts = self.bt.blocks[b][1]
-        clockwise, _ = _arms([*range(len(verts))], start)
-        items = [verts[start]] + self._exc(b, pos_kids, start, omit)
-        for p in clockwise:
-            items += [verts[p]] + self._exc(b, pos_kids, p)
-        return items + [verts[start]]
-
-    def _arm_open(self, b, pos_kids, arm, depth, i_end, child) -> list:
-        """Out along `arm` to `depth`, back to depth `i_end`, then into
+    def _walk_arm(self, b: int, pos_kids, arm: list, depth: int, back_to: int,
+                  child: int | None = None) -> list:
+        """Out along `arm`, the positions of cycle b from the pivot at
+        arm[0], to `depth`, with the round trips into each vertex's
+        children; back to depth `back_to` (0 is the pivot), then into
         `child` (when given) without coming back."""
         verts = self.bt.blocks[b][1]
+        omit = (child,)
         items: list = []
-        for i in range(depth):
-            omit = (child,) if i == i_end - 1 else ()
-            items += [verts[arm[i]]] + self._exc(b, pos_kids, arm[i], omit)
-        items += [verts[arm[i]] for i in range(depth - 2, max(i_end - 2, -1), -1)]
+        for i in range(1, depth + 1):
+            items += [verts[arm[i]]] + self._exc(b, pos_kids, arm[i], omit if i == back_to else ())
+        items += [verts[arm[i]] for i in range(depth - 1, back_to - 1, -1)]
         if child is not None:
             items.append((1, child, b))
         return items
-
-    def _arm_closed(self, b, pos_kids, arm, depth, pivot) -> list:
-        items = self._arm_open(b, pos_kids, arm, depth, 0, None)
-        return items + [self.bt.blocks[b][1][pivot]] if depth else items
 
     def _items(self, b: int, up: int | None, record) -> tuple[list, list]:
         """Items of block b's record, entered from `up` (None for a root),
@@ -674,22 +666,24 @@ class _Rerooted:
         pos_kids = self._by_position(b, up)
         p, mode, *ends = record
         at_pivot = [e[1] for e in ends if e is not None and e[0] == "child"]
+        middle = [verts[p]] + self._exc(b, pos_kids, p, omit=at_pivot)
         arms = {}
-        if mode[0] == "perim":
-            middle = self._perimeter(b, pos_kids, p, omit=at_pivot)
-        else:
-            middle = [verts[p]] + self._exc(b, pos_kids, p, omit=at_pivot)
-        if mode[0] == "chain":
+        if mode[0] != "vertex":
             right, left = _arms([*range(len(verts))], p)
-            arms = {"armR": (right, mode[1]), "armL": (left, mode[2])}
-            open_arms = {e[0] for e in ends if e is not None}
-            for name, (arm, depth) in arms.items():
-                if name not in open_arms:
-                    middle += self._arm_closed(b, pos_kids, arm, depth, p)
+            if mode[0] == "perim":
+                # once around: the whole clockwise arm, then the closing edge
+                tip = len(verts) - 1
+                middle += self._walk_arm(b, pos_kids, right, tip, tip) + [verts[p]]
+            else:
+                arms = {"armR": (right, mode[1]), "armL": (left, mode[2])}
+                open_arms = {e[0] for e in ends if e is not None}
+                for name, (arm, depth) in arms.items():
+                    if name not in open_arms:
+                        middle += self._walk_arm(b, pos_kids, arm, depth, 0)
         head, tail = (
             [] if e is None
             else [(1, e[1], b)] if e[0] == "child"
-            else self._arm_open(b, pos_kids, *arms[e[0]], e[1], e[2])
+            else self._walk_arm(b, pos_kids, *arms[e[0]], e[1], e[2])
             for e in ends
         )
         return head, middle + tail
@@ -770,23 +764,26 @@ class CactusSolver:
         """Minimum-length 1-covering walk of the vertices left, with the
         fewest revisits among those; every cost identity is asserted."""
         g, tvc, dp = self.g, self.tvc, self.dp
+        new = dp.weights[0]
         if self.blocks == 1 and tvc.cycles:
-            # a lone cycle: every vertex but the last two of its listing
-            verts = tvc.cycles[0]
-            path = CoveringPath.from_vertices(g, [tvc.origin[v] for v in verts[: len(verts) - 2]])
+            # a lone cycle: every vertex but the last two of its listing,
+            # the clockwise arm from position 0 to its tip at depth t - 3
+            t = len(tvc.cycles[0])
+            value, root = (t - 3) * new, self.bt.block_of[tvc.cycles[0][0]]
+            record = (0, ("chain", t - 3, 0), None, ("armR", t - 3, None))
         else:
             value, root, record = solve_root_choices(dp)
-            length, revisits = divmod(value, dp.weights[0])
-            t_walk = dp.emit_root(root, record)
-            assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
-            g_walk: list[int] = []
-            for tv in t_walk:
-                ov = tvc.origin[tv]
-                if not g_walk or g_walk[-1] != ov:
-                    g_walk.append(ov)
-            path = CoveringPath.from_vertices(g, g_walk)
-            assert path.length == length, "collapsed walk length drifted"
-            assert path.k - path.k_distinct == revisits, "walk revisit count drifted"
+        length, revisits = divmod(value, new)
+        t_walk = dp.emit_root(root, record)
+        assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
+        g_walk: list[int] = []
+        for tv in t_walk:
+            ov = tvc.origin[tv]
+            if not g_walk or g_walk[-1] != ov:
+                g_walk.append(ov)
+        path = CoveringPath.from_vertices(g, g_walk)
+        assert path.length == length, "collapsed walk length drifted"
+        assert path.k - path.k_distinct == revisits, "walk revisit count drifted"
         assert len(path.covered - self.removed) == g.n - len(self.removed), \
             "solver produced a non-covering walk"
         return path

@@ -115,7 +115,7 @@ def validate_cactus(g: Graph) -> CycleDecomposition:
     n = g.n
     parent = [-1] * n
     disc = [-1] * n
-    order: list[int] = []
+    found = 1  # vertices discovered
     # Iterative DFS from vertex 0 with per-vertex neighbor cursors, so the
     # traversal order is reproducible (sorted adjacency).
     stack = [0]
@@ -123,24 +123,20 @@ def validate_cactus(g: Graph) -> CycleDecomposition:
     it = [iter(g.adjacency[v]) for v in range(n)]
     cycles: list[tuple[int, ...]] = []
     edge_cycle: dict[tuple[int, int], int] = {}
-    seen_back: set[tuple[int, int]] = set()
     while stack:
         v = stack[-1]
         advanced = False
         for u in it[v]:
             if disc[u] == -1:
-                disc[u] = len(order) + 1
-                order.append(u)
+                disc[u] = found
+                found += 1
                 parent[u] = v
                 stack.append(u)
                 advanced = True
                 break
             if u != parent[v] and disc[u] < disc[v]:
-                key = (min(u, v), max(u, v))
-                if key in seen_back:
-                    continue
-                seen_back.add(key)
-                # Back edge closes the cycle u -> ... -> v along tree edges.
+                # Back edge closes the cycle u -> ... -> v along tree edges;
+                # it is met once, here at its deeper end v.
                 cyc = [v]
                 w = v
                 while w != u:
@@ -156,7 +152,7 @@ def validate_cactus(g: Graph) -> CycleDecomposition:
                 cycles.append(tuple(cyc))
         if not advanced:
             stack.pop()
-    if len(order) + 1 != n:
+    if found != n:
         missing = next(v for v in range(n) if disc[v] == -1)
         raise NotConnected(f"vertex {missing} unreachable from 0")
     membership: list[list[int]] = [[] for _ in range(n)]

@@ -244,8 +244,6 @@ def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult
     cost = CostReport(
         cnot_count=cnot_cost(circuit),
         formula_value=theorem1_cost(g.n, path.k, path.k_distinct, l),
-        formula_name="merged l-fold cost (3k + 2(n-k'))l - 5l + 2",
-        parameters={"n": g.n, "k": path.k, "k_distinct": path.k_distinct, "l": l},
     )
     return HashSynthesisResult(
         circuit=circuit,
@@ -307,14 +305,25 @@ def find_good_set(p: int, epsilon: float, seed: int = 0,
     if draw < 1:
         raise ValueError("a coefficient set needs at least one coefficient")
     rng = random.Random(seed)
-    for _ in range(MAX_TRIALS):
+    # the (p - 1)^draw sets there are, counted exactly when the budget
+    # could draw them all: (p - 1)^15 > MAX_TRIALS once p > 2
+    space = (p - 1) ** min(draw, MAX_TRIALS.bit_length())
+    small = space <= MAX_TRIALS
+    seen: set[tuple[int, ...]] = set()  # the sets drawn, kept when small
+    trials = 0
+    while trials < MAX_TRIALS and len(seen) < space:
+        trials += 1
         ks = tuple(rng.randrange(1, p) for _ in range(draw))
+        if small:
+            if ks in seen:
+                continue
+            seen.add(ks)
         if (all(modp_closed_form(ks, g, p) < epsilon for g in range(1, p))
                 and check_good_set(ks, p, epsilon)[0]):
             return HashParams.from_coefficients(p, epsilon, ks)
     raise SearchExhausted(
         f"no good set of size {draw} for p={p}, epsilon={epsilon} "
-        f"in {MAX_TRIALS} trials"
+        f"in {trials} trials"
     )
 
 

@@ -190,7 +190,6 @@ def synthesize_qft(g: Graph) -> tuple[Circuit, CostReport]:
         report = CostReport(
             cnot_count=0,
             formula_value=0,
-            formula_name="cascade-path bound K + n^2 - n - 1",
             parameters={"n": 1, "K": 0, "k1": 1, "S": (1,), "theorem2_bound": 2},
         )
         return c, report
@@ -213,7 +212,6 @@ def synthesize_qft(g: Graph) -> tuple[Circuit, CostReport]:
     report = CostReport(
         cnot_count=cnots,
         formula_value=big_k + n * n - n - 1,
-        formula_name="cascade-path bound K + n^2 - n - 1",
         parameters={
             "n": n,
             "K": big_k,

@@ -224,9 +224,9 @@ class TestOnePassCount:
 
 class TestCostReport:
     def test_exact_and_bound(self):
-        r = CostReport(cnot_count=10, formula_value=10, formula_name="x")
+        r = CostReport(cnot_count=10, formula_value=10)
         assert r.exact and r.within_bound
-        r = CostReport(cnot_count=11, formula_value=10, formula_name="x")
+        r = CostReport(cnot_count=11, formula_value=10)
         assert not r.exact and not r.within_bound
 
 

@@ -3,6 +3,8 @@ l-fold circuits with boundary merges, semantics against the
 unconstrained reference, the replayed fold against a one-application-at-
 a-time reference, good-set search, and the MOD_p automaton."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from cactusq.covering_path import solve_cactus
 from cactusq.families import chain_of_squares, cycle, fig3_cactus, line, star
 from cactusq.graph_core import Graph, random_cactus
 from cactusq.hash_synth import (
+    MAX_TRIALS,
     HashParams,
     PathNotCovering,
     SearchExhausted,
@@ -231,6 +234,15 @@ class TestGoodSets:
     def test_p2_has_no_good_set(self):
         with pytest.raises(SearchExhausted):
             find_good_set(2, 0.25, seed=0, size=3)
+
+    def test_search_stops_once_every_set_is_drawn(self):
+        # p = 3, size 4 (what `hash --graph line5 --p 3` asks for) has
+        # (p - 1)^4 = 16 sets and no good one: the search gives up once it
+        # has drawn all 16, well inside the trial budget
+        with pytest.raises(SearchExhausted) as info:
+            find_good_set(3, 0.25, seed=0, size=4)
+        draws = int(re.search(r"in (\d+) trials", str(info.value)).group(1))
+        assert 16 <= draws < MAX_TRIALS
 
     def test_empty_set_rejected(self):
         # the mean-cosine check divides by the set size
