@@ -230,7 +230,7 @@ def _hash_report(g: Graph, l: int, result, params: HashParams, seed: int) -> dic
         "formula_value": rep.formula_value,
         "formula_exact": rep.exact,
         "corollary1": _corollary1(n, l, rep.formula_value),
-        "target_start": result.target_start,
+        "target_start": result.path.vertices[0],
         "final_permutation": list(result.circuit.final_permutation),
     }
 
@@ -318,7 +318,7 @@ def verify_cmd(graph_spec, what, l, p, epsilon) -> None:
         result = synthesize_hash(g, l, params)
         circuit = result.circuit
         reference = unitary_of(
-            hash_reference_circuit(g, l, params.angles, result.target_start)
+            hash_reference_circuit(g, l, params.angles, result.path.vertices[0])
         )
     else:
         circuit, rep = synthesize_qft(g)

@@ -6,15 +6,17 @@ the walk first passes them and path vertices fused with the SWAP that
 moves the target onto them.  One hashing application is that walk with
 controlled Ry gates (`qft_synth` adds an H and a park SWAP for a QFT
 cascade).  Repeated applications alternate walk direction so consecutive
-applications meet on a shared control, and that boundary pair merges into
-one double-angle rotation.  The reverse SWAPs undo the forward ones, so
-the qubits are back in place after every pair of applications and the
-fold repeats with a period of two: each distinct application is built
-once and its gates are appended again for every later one.  Also
-contains the Theorem-style cost formula, the MOD_p coefficient math (the
-good-set check and the automaton's closed-form acceptance), the
-good-coefficient-set search, and the full MOD_p automaton circuit (H
-sandwich around the repeated operator).
+applications meet on a shared control: the CRy one application ends with
+and its partner among the next one's opening rotations, which commute,
+merge into one double-angle rotation at the seam.  The reverse SWAPs undo
+the forward ones, so the qubits are back in place after every pair of
+applications and the fold repeats with a period of two: the forward and
+the reverse application are each built once, and every later application
+appends the same gates again.  Also contains the Theorem 1 cost formula
+(asserted by `synthesize_hash`), the MOD_p coefficient math (the good-set
+check and the automaton's closed-form acceptance), the good-coefficient-
+set search, and the full MOD_p automaton circuit (H sandwich around the
+repeated operator).
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ class HashSynthesisResult:
     circuit: Circuit
     path: CoveringPath
     cost: CostReport
-    target_start: int
 
 
 def theorem1_cost(n: int, k: int, k_distinct: int, l: int) -> int:
@@ -144,18 +145,13 @@ def target_walk(g: Graph, verts, controls: set[int], descending: bool,
     return gates, fired
 
 
-def construct_for_path(g: Graph, path, angles, direction: str = "forward",
-                       lead_control: int | None = None) -> Circuit:
+def construct_for_path(g: Graph, path, angles, direction: str = "forward") -> Circuit:
     """One application of the hashing operator along a covering path, as a
     new circuit on device g.
 
     The target walks the path (`target_walk`) firing a CRy from every other
     qubit once.  `reverse` walks the path backward with descending neighbor
-    order.  The rotations fired at one vertex commute, so `lead_control`
-    (when present in the opening batch) is moved to the front; repeated
-    applications use it to start on the control the previous application
-    ended with, so that `_append_merged` can merge the opening CRy into the
-    gate the previous application ends with.
+    order.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
@@ -166,10 +162,6 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
     ang = _angle_of(angles, g, start)
     gates, fired = target_walk(g, verts, set(range(g.n)), direction == "reverse",
                                lambda u, at: Gate("CRy", (u, at), theta=ang(u)))
-    if lead_control in g.adjacency[start] and lead_control not in verts:
-        # it fired in the opening batch, whose rotations commute
-        i = next(i for i, x in enumerate(gates) if x.qubits[0] == lead_control)
-        gates.insert(0, gates.pop(i))
     c = Circuit(g.n, device=g)
     c.extend(gates)
     missed = set(range(g.n)) - fired - {start}
@@ -179,54 +171,50 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward",
 
 
 def _append_merged(c: Circuit, gates: list[Gate]) -> None:
-    """Append `gates` to `c`, merging an opening CRy on the pair `c` ends
-    with into that gate."""
+    """Append the application `gates` to `c`, merging the CRy `c` ends with
+    into its partner: the CRy on the same pair among the application's
+    opening rotations, those before its first SWAP.  These all aim at the
+    walk's start and commute, so the partner moves to the seam."""
     last = c.gates[-1] if c.gates else None
-    if (last is not None and gates and last.kind == gates[0].kind == "CRy"
-            and last.qubits == gates[0].qubits):
-        # a rotation moves no qubit, so replacing it keeps the layout
-        c.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
-        gates = gates[1:]
+    if last is not None and last.kind == "CRy":
+        for j, x in enumerate(gates):
+            if x.kind != "CRy":
+                break
+            if x.qubits == last.qubits:
+                # a rotation moves no qubit, so replacing it keeps the layout
+                c.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + x.theta)
+                c.extend(gates[:j])
+                gates = gates[j + 1:]
+                break
     c.extend(gates)
 
 
 def _fold_applications(g: Graph, path: CoveringPath, angles, l: int,
                        circuit: Circuit) -> None:
-    """Append l applications to `circuit`, alternating forward/reverse, with
-    boundary merges.
+    """Append l applications to `circuit`, alternating forward/reverse, each
+    merged into the last at its seam (`_append_merged`).
 
     `angles` (read by `_angle_of`, with the path's first vertex as the
     target) attach to logical qubits, and the SWAPs shift logical qubits
-    along the path, so each application's per-vertex angle table is built
-    from the occupancy at that application's start (any control fires
-    before the walk first disturbs its vertex, so that table is exact).  A
-    reverse application undoes the forward one's SWAPs, so that occupancy,
-    and with it the angle table, depends on i % 2 only, and the gates on
-    i % 2 and the lead control.  `construct_for_path` builds each such
-    application once, on a circuit of its own; its gates are then appended
-    again, through `Circuit.append`'s checks, for every later application
-    with the same parity and lead.  Only a merged boundary rotation is a
-    new gate.
+    along the path, so an application's per-vertex angle table is read from
+    `circuit.final_permutation` at its start (any control fires before the
+    walk first disturbs its vertex, so that table is exact).  A reverse
+    application undoes the forward one's SWAPs, so application i repeats
+    application i % 2: `construct_for_path` builds the forward one at i = 0
+    and the reverse one at i = 1, each on a circuit of its own, and every
+    application appends `built[i % 2]` through `Circuit.append`'s checks.
+    Only a merged seam rotation is a new gate.
     """
-    forward = list(path.vertices)
-    per_logical = _angle_of(angles, g, forward[0])
-    occ = list(range(g.n))  # occ[u] = logical qubit at vertex u after a forward pass
-    for cur, nxt in zip(forward, forward[1:]):
-        occ[cur], occ[nxt] = occ[nxt], occ[cur]
-    occupancy = (range(g.n), occ)  # at the start of an even / an odd application
-    built: dict[tuple[int, int | None], list[Gate]] = {}
+    target = path.vertices[0]
+    per_logical = _angle_of(angles, g, target)
+    built: list[list[Gate]] = []
     for i in range(l):
-        parity = i % 2
-        last = circuit.gates[-1] if circuit.gates else None
-        lead = last.qubits[0] if last is not None and last.kind == "CRy" else None
-        gates = built.get((parity, lead))
-        if gates is None:
-            start = forward[-1] if parity else forward[0]
-            angle_map = {u: per_logical(occupancy[parity][u]) for u in range(g.n) if u != start}
-            direction = "reverse" if parity else "forward"
-            gates = built[parity, lead] = construct_for_path(
-                g, path, angle_map, direction, lead_control=lead).gates
-        _append_merged(circuit, gates)
+        if i < 2:
+            angle_map = {u: per_logical(q)
+                         for q, u in enumerate(circuit.final_permutation) if q != target}
+            direction = "reverse" if i else "forward"
+            built.append(construct_for_path(g, path, angle_map, direction).gates)
+        _append_merged(circuit, built[i % 2])
 
 
 def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult:
@@ -245,12 +233,11 @@ def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult
         cnot_count=cnot_cost(circuit),
         formula_value=theorem1_cost(g.n, path.k, path.k_distinct, l),
     )
-    return HashSynthesisResult(
-        circuit=circuit,
-        path=path,
-        cost=cost,
-        target_start=path.vertices[0],
-    )
+    # every walk step costs 3 CNOTs (a CRy fused with its SWAP, or a bare
+    # SWAP onto a revisited vertex), every off-walk control 2, and each of
+    # the l - 1 seams saves the 2 of the rotation merged away
+    assert cost.exact, f"{cost.cnot_count} CNOTs against Theorem 1's {cost.formula_value}"
+    return HashSynthesisResult(circuit=circuit, path=path, cost=cost)
 
 
 def hash_reference_circuit(g: Graph, l: int, angles, target_start: int) -> Circuit:

@@ -54,11 +54,11 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
     """Append l hashing applications along `path` to `circuit`, building
     every one afresh: forward and reverse in turn, each angle table read
     from the logical qubit at each vertex (the occupancy is tracked across
-    applications), the lead control taken from the CRy `circuit` ends with,
-    and one `construct_for_path` call per application, whose opening
-    rotation merges into that CRy when both act on one pair.  `angles`
-    holds one angle per control, in vertex order with the target
-    `path.vertices[0]` left out.
+    applications), and one `construct_for_path` call per application.  The
+    lead control, the one of the CRy `circuit` ends with, moves to the
+    front of the opening batch, and that opening rotation merges into the
+    CRy when both act on one pair.  `angles` holds one angle per control,
+    in vertex order with the target `path.vertices[0]` left out.
     """
     controls = [v for v in range(g.n) if v != path.vertices[0]]
     per_logical = dict(zip(controls, angles))
@@ -69,7 +69,11 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
         angle_map = {u: per_logical[occ[u]] for u in range(g.n) if u != verts[0]}
         last = circuit.gates[-1] if circuit.gates else None
         lead = last.qubits[0] if last is not None and last.kind == "CRy" else None
-        gates = construct_for_path(g, path, angle_map, direction, lead_control=lead).gates
+        gates = construct_for_path(g, path, angle_map, direction).gates
+        if lead in g.adjacency[verts[0]] and lead not in verts:
+            # it fired in the opening batch, whose rotations commute
+            j = next(j for j, x in enumerate(gates) if x.qubits[0] == lead)
+            gates.insert(0, gates.pop(j))
         if last is not None and last.kind == gates[0].kind == "CRy" and last.qubits == gates[0].qubits:
             circuit.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
             gates = gates[1:]

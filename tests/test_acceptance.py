@@ -143,7 +143,7 @@ def test_criterion_06_hash_semantics():
             g = random_cactus(n, seed)
             for l in (1, 2, 3):
                 res = synthesize_hash(g, l, params)
-                ref = hash_reference_circuit(g, l, params.angles, res.target_start)
+                ref = hash_reference_circuit(g, l, params.angles, res.path.vertices[0])
                 ok, dev = equiv_up_to_permutation(
                     unitary_of(res.circuit), unitary_of(ref),
                     perm=res.circuit.final_permutation,

@@ -179,14 +179,14 @@ class TestReplayedFold:
                 _gate_rows(_automaton_reference(g, l, params))
 
     def test_applications_are_built_once(self):
-        # every application is one of at most three distinct gate lists
-        # (parity and lead control); only the l - 1 merged boundary
-        # rotations are new gates
+        # every application replays one of two gate lists (the forward and
+        # the reverse one); only the l - 1 merged seam rotations are new
+        # gates
         g = random_cactus(60, 1)
         l = 40
         res = synthesize_hash(g, l, _params_for(g.n))
         per_application = len(construct_for_path(g, res.path, _flat_angles(g)).gates)
-        assert len({id(x) for x in res.circuit.gates}) <= 3 * per_application + l - 1
+        assert len({id(x) for x in res.circuit.gates}) <= 2 * per_application + l - 1
 
 
 class TestSemantics:
@@ -196,7 +196,7 @@ class TestSemantics:
         g = builder(5)
         params = _params_for(g.n)
         res = synthesize_hash(g, l, params)
-        ref = hash_reference_circuit(g, l, params.angles, res.target_start)
+        ref = hash_reference_circuit(g, l, params.angles, res.path.vertices[0])
         ok, dev = equiv_up_to_permutation(
             unitary_of(res.circuit), unitary_of(ref), perm=res.circuit.final_permutation
         )
@@ -208,7 +208,7 @@ class TestSemantics:
         g = random_cactus(n, seed)
         params = _params_for(n)
         res = synthesize_hash(g, l, params)
-        ref = hash_reference_circuit(g, l, params.angles, res.target_start)
+        ref = hash_reference_circuit(g, l, params.angles, res.path.vertices[0])
         ok, dev = equiv_up_to_permutation(
             unitary_of(res.circuit), unitary_of(ref), perm=res.circuit.final_permutation
         )
