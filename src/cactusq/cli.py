@@ -11,8 +11,8 @@ to stderr.  Exit codes: 0 success, 1 validation or usage error (one
 `--graph` accepts a JSON file ({"n": int, "edges": [[u, v], ...]}) or,
 when no such file exists, a bundled family name: fig3, lineN, cycleN,
 starN, kN (complete), chain4xT (chain of T 4-cycles), with an optional
-.json suffix.  A graph of more than MAX_VERTICES vertices is refused
-before it is built.
+.json suffix; a name with a directory part is only ever a file.  A graph
+of more than MAX_VERTICES vertices is refused before it is built.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ _FAMILY_PATTERNS = [
 def _resolve_graph(spec: str) -> Graph:
     if os.path.exists(spec):
         return load_graph(spec, max_n=MAX_VERTICES)
-    name = os.path.basename(spec)
-    if name.endswith(".json"):
-        name = name[: -len(".json")]
+    # a spec with a directory part matches no family: it names a file
+    name = spec.removesuffix(".json")
     if name == "fig3":
         return families.fig3_cactus()
     for pattern, vertices, build in _FAMILY_PATTERNS:

@@ -200,12 +200,13 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # neighbour is left there.  Only the contributions that point away from
 # the leaf can change.  They are recomputed outwards, and a branch stops
 # at the first one whose closed cost, saving and skip come out as before.
-# The blocks that took a changed one are scored again as roots.  The
-# tables then equal a fresh build's on the blocks left, except for the
+# The tables then equal a fresh build's on the blocks left, except for the
 # fold: the weights are the first build's, and every step, root scan and
 # walk decoding takes them from the tables.  Their `unit` exceeds twice the
 # edge count of every smaller graph too, so it orders walks just as the
-# fresh build's smaller unit does.
+# fresh build's smaller unit does.  A block is scored as a root when a walk
+# first asks, and keeps that score until a drop changes its tables, which
+# every later push into it follows.  A lone cycle is never scored.
 # ---------------------------------------------------------------------------
 
 
@@ -472,7 +473,8 @@ def _rank(top: list, c: ChildContribution) -> None:
 class _Rerooted:
     """DP values of every block as seen across each of its bridges.  The
     two passes start from block `start`; every start gives the same tables.
-    `remove_leaf` keeps them up to date as leaf blocks are deleted."""
+    `remove_leaf` keeps them up to date as leaf blocks are deleted.  No
+    root is scored here: `value` memoises `root` for `solve_root_choices`."""
 
     def __init__(self, tvc: WeightedVertexCactus, bt: BlockTree, start: int = 0):
         self.bt = bt
@@ -508,8 +510,8 @@ class _Rerooted:
             for other in self.bridge[b]:
                 if other != parent[b]:
                     self._push(b, other, self.handed[other][b])
-        # each block's least value as the root, None once it is removed
-        self.value: list[int | None] = [self.root(b)[0] for b in range(bt.n_blocks)]
+        # value[b]: root(b) once a walk asks for it, until a _drop changes b
+        self.value: list[tuple[int, int] | None] = [None] * bt.n_blocks
 
     def _by_position(self, b: int, up: int | None) -> dict[int, list[ChildContribution]]:
         """The neighbours of b other than `up` that must be entered, by
@@ -559,8 +561,9 @@ class _Rerooted:
     def _drop(self, b: int, towards: int) -> None:
         """Take the contribution b handed `towards` out of towards' tables.
         top_at at its position is ranked again if it was there, and is None
-        if no other neighbour is left there."""
+        if no other neighbour is left there; towards' root value is cleared."""
         old = self.handed[b][towards]
+        self.value[towards] = None
         if not old.skipped:
             self.closed[towards] -= old.closed_cost
         p = self.bridge[towards][b][2]
@@ -581,31 +584,26 @@ class _Rerooted:
         Only the contributions that point away from the leaf change.  They
         are recomputed outwards from its neighbour, and a branch stops at
         the first one whose (closed_cost, saving, skipped) comes out as it
-        was: what lies beyond reads nothing else of it.  The blocks that
-        lost or took a changed contribution are scored again as roots."""
+        was: what lies beyond reads nothing else of it.  The leaf is left
+        with no top_at, which marks it removed."""
         (attach,) = self.bridge[leaf]
         gone, p = self.handed[leaf][attach], self.bridge[attach][leaf][2]
         self._drop(leaf, attach)
         del self.bridge[attach][leaf], self.handed[attach][leaf]
         self.bridge[leaf], self.handed[leaf], self.top_at[leaf] = {}, {}, []
-        self.value[leaf] = None
         if (gone.skipped and self.top_at[attach][p] is not None
                 and (self.bt.blocks[attach][0] == "cycle" or len(self.bridge[attach]) > 1)):
             # of a skipped leaf its neighbour reads only that position p
             # has a neighbour, and p still has one; nor does it turn into
             # a skipped leaf itself: its tables read as before
             return
-        changed = [attach]
         queue = [(attach, towards) for towards in self.bridge[attach]]
         for b, towards in queue:
             old = self.handed[b][towards]
             self._drop(b, towards)
             self._push(b, towards, self.handed[towards][b])
             if _read_on(self.handed[b][towards]) != _read_on(old):
-                changed.append(towards)
                 queue += [(towards, other) for other in self.bridge[towards] if other != b]
-        for b in changed:
-            self.value[b] = self.root(b)[0]
 
     def root(self, b: int) -> tuple[int, int]:
         """Block b's least value as the root with both ends free, and the
@@ -695,12 +693,15 @@ class _Rerooted:
 
 
 def solve_root_choices(dp: _Rerooted):
-    """(folded value, root, record) of the first best root in block order,
-    from the root values `dp` keeps.  Only that root runs the step, once,
-    at its first best pivot."""
-    value = min(v for v in dp.value if v is not None)
-    root = dp.value.index(value)
-    _, pivot = dp.root(root)
+    """(folded value, root, record) of the first best root in block order.
+    A block left (its top_at not empty) is scored unless `dp` keeps its
+    score; only the winner runs the step, once, at its first best pivot."""
+    live = [b for b, top_at in enumerate(dp.top_at) if top_at]
+    for b in live:
+        if dp.value[b] is None:
+            dp.value[b] = dp.root(b)
+    root = min(live, key=lambda b: dp.value[b][0])
+    value, pivot = dp.value[root]
     (check, record), = dp._step(root, None, pivot, (2,))
     assert check == value, "root value drifted from the DP step"
     return value, root, record
@@ -720,7 +721,8 @@ def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
 
 class CactusSolver:
     """The covering-walk DP of a connected cactus, built once and kept up
-    to date as pendant vertices are removed from it.
+    to date as pendant vertices are removed from it.  A block is scored as
+    a root only when `walk` first needs it, and a lone cycle never is.
 
     A pendant removed in place leaves the numbering a fresh build on the
     vertices left would give, in relative order: vertex ids, copy ids and
@@ -728,8 +730,7 @@ class CactusSolver:
     are the solver's only tie-breaks, so `walk` returns the fresh build's
     walk.  The step weights stay the first build's.  Their `unit` is
     larger than a fresh build's and orders any two candidate walks the
-    same way, since every candidate makes fewer revisits than either unit.
-    """
+    same way, since every candidate makes fewer revisits than either unit."""
 
     def __init__(self, g: Graph):
         decomp = validate_cactus(g)
@@ -739,7 +740,6 @@ class CactusSolver:
         self.dp = _Rerooted(self.tvc, self.bt)
         self.removed: set[int] = set()
         self.first = 0  # the least vertex left, where validate_cactus starts its DFS
-        self.blocks = self.bt.n_blocks  # blocks left
 
     def remove_pendant(self, v: int) -> bool:
         """Remove vertex v in place if it has one neighbour left, unless v
@@ -757,7 +757,6 @@ class CactusSolver:
         while self.first in self.removed:
             self.first += 1
         self.dp.remove_leaf(self.bt.block_of[v])
-        self.blocks -= 1
         return True
 
     def walk(self) -> CoveringPath:
@@ -765,11 +764,12 @@ class CactusSolver:
         fewest revisits among those; every cost identity is asserted."""
         g, tvc, dp = self.g, self.tvc, self.dp
         new = dp.weights[0]
-        if self.blocks == 1 and tvc.cycles:
-            # a lone cycle: every vertex but the last two of its listing,
-            # the clockwise arm from position 0 to its tip at depth t - 3
+        if tvc.cycles and not dp.bridge[0]:
+            # a lone cycle (block 0, the first cycle, with no bridge left):
+            # every vertex but the last two of its listing, the clockwise
+            # arm from position 0 to its tip at depth t - 3
             t = len(tvc.cycles[0])
-            value, root = (t - 3) * new, self.bt.block_of[tvc.cycles[0][0]]
+            value, root = (t - 3) * new, 0
             record = (0, ("chain", t - 3, 0), None, ("armR", t - 3, None))
         else:
             value, root, record = solve_root_choices(dp)

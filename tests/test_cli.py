@@ -46,6 +46,12 @@ class TestPath:
         proc = run_cli("path", "--graph", "k5", expect_code=1)
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("spec", ["/no/such/dir/fig3.json", "no_such_dir/line4"])
+    def test_name_with_a_directory_is_only_a_file(self, spec):
+        # a missing file is an error, not the family its base name spells
+        proc = run_cli("path", "--graph", spec, expect_code=1)
+        assert proc.stdout == "" and proc.stderr.startswith(f"error: no file {spec!r}")
+
     def test_deep_block_tree(self):
         # 1100 blocks in a row, deeper than the default recursion limit
         data = json.loads(run_cli("path", "--graph", "line1100").stdout)

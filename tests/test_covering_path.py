@@ -348,19 +348,35 @@ class TestRootValues:
 
     def test_one_root_step_per_solve(self, monkeypatch):
         # every bridge direction runs the step once, and of all the roots
-        # only the winner does
-        calls = []
+        # only the winner does; the build scores no root, and the solve
+        # scores each block once
+        calls, roots = [], []
         for name in ("dp_cycle", "dp_single_vertex"):
             step = getattr(covering_path, name)
             monkeypatch.setattr(covering_path, name,
                                 lambda *args, _step=step: calls.append(1) or _step(*args))
+        root = _Rerooted.root
+        monkeypatch.setattr(_Rerooted, "root", lambda dp, b: roots.append(b) or root(dp, b))
         for g in (random_cactus(60, 3), cycle_with_attachments(30, 1), spider(5, 4),
                   cycle_with_pendants(12)):
             tvc = build_vertex_cactus(g, validate_cactus(g))
             bt = build_block_tree(tvc)
             calls.clear()
-            solve_root_choices(_Rerooted(tvc, bt))
+            roots.clear()
+            dp = _Rerooted(tvc, bt)
+            assert roots == []
+            solve_root_choices(dp)
             assert len(calls) == 2 * (bt.n_blocks - 1) + 1
+            assert sorted(roots) == list(range(bt.n_blocks))
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 60])
+    def test_lone_cycle_scores_no_root(self, monkeypatch, t):
+        calls = []
+        scan = covering_path.cycle_root
+        monkeypatch.setattr(covering_path, "cycle_root",
+                            lambda *args: calls.append(1) or scan(*args))
+        assert solve_cactus(cycle(t)).k == t - 2
+        assert calls == []
 
 
 class TestDeepBlockTrees:

@@ -104,7 +104,9 @@ class TestOneSolverAcrossStages:
 class TestPendantRemoval:
     # after each in-place removal every live block's tables equal those of
     # a fresh build on the vertices left, value for value: folded values
-    # are compared as (length, revisits), each decoded with its own unit
+    # are compared as (length, revisits), each decoded with its own unit.
+    # A block is live while its top_at is not empty; the root values a
+    # walk keeps must be those its tables score at the time
     @staticmethod
     def check_against_fresh(g, solver):
         alive = [v for v in range(g.n) if v not in solver.removed]
@@ -112,8 +114,8 @@ class TestPendantRemoval:
         fresh = CactusSolver(sub)
         kept, new = solver.dp, fresh.dp
         unit, fresh_unit = kept.weights[0], new.weights[0]
-        live = [b for b, v in enumerate(kept.value) if v is not None]
-        assert len(live) == fresh.bt.n_blocks == solver.blocks
+        live = [b for b, top_at in enumerate(kept.top_at) if top_at]
+        assert len(live) == fresh.bt.n_blocks
         renumber = {b: i for i, b in enumerate(live)}
         for b, fb in renumber.items():
             kind, verts = solver.bt.blocks[b]
@@ -122,7 +124,8 @@ class TestPendantRemoval:
             assert ([solver.tvc.origin[v] for v in verts]
                     == [old[fresh.tvc.origin[v]] for v in fverts])
             assert divmod(kept.closed[b], unit) == divmod(new.closed[fb], fresh_unit)
-            assert divmod(kept.value[b], unit) == divmod(new.value[fb], fresh_unit)
+            (value, pivot), (fvalue, fpivot) = kept.root(b), new.root(fb)
+            assert (divmod(value, unit), pivot) == (divmod(fvalue, fresh_unit), fpivot)
             for top, ftop in zip(kept.top_at[b], new.top_at[fb], strict=True):
                 if top is None or ftop is None:
                     assert top is ftop is None
@@ -130,6 +133,8 @@ class TestPendantRemoval:
                     assert ([(renumber[c.block], divmod(c.saving, unit)) for c in top]
                             == [(c.block, divmod(c.saving, fresh_unit)) for c in ftop])
         assert solver.walk().vertices == tuple(old[v] for v in fresh.walk().vertices)
+        for b in live:
+            assert kept.value[b] is None or kept.value[b] == kept.root(b), b
 
     def remove_pendants(self, g, seed):
         """Remove pendants in random order while one can be removed in
@@ -170,6 +175,20 @@ class TestPendantRemoval:
                 for t in (4, 9)]:
             for seed in range(3):
                 assert self.remove_pendants(g, seed) > 0
+
+    def test_walks_score_only_changed_blocks(self, monkeypatch):
+        # a walk keeps the root values of blocks whose tables have not
+        # changed: none after no removal, just the hub after a leaf goes
+        solver = CactusSolver(star(9))
+        solver.walk()
+        roots = []
+        root = type(solver.dp).root
+        monkeypatch.setattr(type(solver.dp), "root", lambda dp, b: roots.append(b) or root(dp, b))
+        solver.walk()
+        assert roots == []
+        assert solver.remove_pendant(8)
+        solver.walk()
+        assert roots == [solver.bt.block_of[0]]
 
     def test_non_pendant_is_refused(self):
         solver = CactusSolver(line(5))
