@@ -73,7 +73,7 @@ _VALIDATION_ERRORS = (
 # a graph builds a set per vertex, and `gen` keeps every edge, before
 # anything else happens, so a mistyped size would run until memory ran
 # out; 10^5 vertices generate in well under 1 s, and `path --graph
-# line100000` solves in about 300 MB
+# line100000` solves in about 295 MB
 MAX_VERTICES = 100_000
 
 # the circuit grows linearly in --l, so a mistyped fold count would run

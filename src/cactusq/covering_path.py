@@ -148,20 +148,21 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # order wins, at its first best pivot, and its own record rebuilds the
 # walk.
 #
-# Each contribution is held once, as what one block handed its neighbour;
-# a block's bridges are kept in the order its neighbours' walks are laid
-# out.  A step reads per-block arrays kept up to date as contributions
-# arrive: their closed costs summed, and at each position the two children
-# with the best savings (None where no neighbour attaches).  Leaving out
-# `up` touches only its own position, the pivot, which no arm reads.  A
-# cycle step scores candidates as integers, keeps the first minimum per
-# count of free ends and builds records for those alone.  A push asks for
-# 0 and 1 free ends.  Roots do not run the step to be scored: with both
-# ends free a walk's saving depends only on where its two ends are, so one
-# O(t) scan over a cycle's arcs (`cycle_root`) folds each saving with the
-# first pivot that reaches it and gives the block's least root value and
-# that pivot together.  Only the winning root runs the step, once, at that
-# pivot, for its record.
+# Each bridge direction has one contribution, built with the bridge's
+# facts and updated in place by every push; a block files what it is
+# handed by attach position, in the order its neighbours' walks are laid
+# out there.  A step reads per-block arrays kept up to date as
+# contributions arrive: their closed costs summed, and at each position
+# the two children with the best savings (None where no neighbour
+# attaches).  Leaving out `up` touches only its own position, the pivot,
+# which no arm reads.  A cycle step scores candidates as integers, keeps
+# the first minimum per count of free ends and builds records for those
+# alone.  A push asks for 0 and 1 free ends.  Roots do not run the step to
+# be scored: with both ends free a walk's saving depends only on where its
+# two ends are, so one O(t) scan over a cycle's arcs (`cycle_root`) folds
+# each saving with the first pivot that reaches it and gives the block's
+# least root value and that pivot together.  Only the winning root runs the
+# step, once, at that pivot, for its record.
 #
 # Every record has one shape, (pivot, mode, end1, end2).  The mode is
 # ("vertex",), ("perim",) (once around the cycle) or ("chain", a, b) (the
@@ -195,8 +196,9 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # are joined only through weight-0 bridges, which the walk has to cross.
 #
 # The tables outlive a solve.  Removing a pendant vertex deletes a leaf
-# block and its bridge (`_Rerooted.remove_leaf`): the neighbour's top_at
-# is ranked again at the attach position, and goes back to None when no
+# block and its bridge (`_Rerooted.remove_leaf`): its contribution is
+# unfiled from the neighbour's attach position, whose top_at is ranked
+# again from what that position files alone, or goes back to None when no
 # neighbour is left there.  Only the contributions that point away from
 # the leaf can change.  They are recomputed outwards, and a branch stops
 # at the first one whose closed cost, saving and skip come out as before.
@@ -212,20 +214,22 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 
 @dataclass(slots=True)
 class ChildContribution:
-    """Summary of one neighbouring subtree as seen from its attach vertex.
-
-    `closed_cost` is the folded value of crossing the bridge, covering the
-    subtree and coming back; `saving` is the gain from ending the walk
-    inside the subtree instead of coming back.
-    """
+    """What `block` hands the block across one bridge: its subtree as seen
+    from `entry`, its end of the bridge.  `position` (of the other end, in
+    the receiving block) and `weight` are the bridge's; each push updates
+    the rest in place.  `closed_cost` is the folded value of crossing the
+    bridge, covering the subtree and coming back; `saving` is the gain
+    from ending the walk inside the subtree instead of coming back."""
 
     block: int
     entry: int
-    closed_cost: int
-    saving: int
-    skipped: bool
+    position: int
+    weight: int
+    closed_cost: int = 0
+    saving: int = 0
+    skipped: bool = False
     # the block's records for 0 and 1 free ends, as seen from across the bridge
-    records: tuple
+    records: tuple = ()
 
 
 def _top_ends(options, ends: int) -> list:
@@ -481,47 +485,41 @@ class _Rerooted:
         unit = sum(len(a) for a in tvc.adjacency) + 1
         # (new, back): a step onto a new vertex, a step back onto a visited one
         self.weights = (unit, unit + 1)
-        # handed[b][towards]: the contribution b handed its neighbour `towards`
+        # handed[b][towards]: the contribution b hands its neighbour
+        # `towards`; into[b][p]: a tuple of those handed to b at position p,
+        # in _order_key order: by their attach vertex, then by block (None
+        # while p has no neighbour)
         self.handed: list[dict[int, ChildContribution]] = [{} for _ in bt.blocks]
+        self.into: list[list] = []
+        for b, (_, verts) in enumerate(bt.blocks):
+            where = {v: i for i, v in enumerate(verts)}
+            self.into.append(at := [None] * len(verts))
+            for other, w, own, theirs in sorted(bt.tree[b], key=lambda e: (e[3], e[0])):
+                c = self.handed[other][b] = ChildContribution(other, theirs, where[own], w)
+                at[c.position] = at[c.position] or []
+                at[c.position].append(c)
+            at[:] = [x and tuple(x) for x in at]  # a tuple holds no spare room
         # what the step of each block reads of its neighbours' contributions,
         # kept up to date as they arrive: closed[b], the sum of their closed
         # costs, and top_at[b][p], the two with the best positive savings at
         # position p, in _top_ends order (None while p has no neighbour)
         self.closed = [0] * len(bt.blocks)
         self.top_at: list[list] = [[None] * len(verts) for _, verts in bt.blocks]
-        # bridge[b][other]: (weight, own attach vertex, its position in b),
-        # in the _order_key order of what `other` hands b: by other's attach
-        # vertex, then by block
-        self.bridge: list[dict[int, tuple[int, int, int]]] = []
-        for b, (_, verts) in enumerate(bt.blocks):
-            pos = {v: i for i, v in enumerate(verts)}
-            self.bridge.append({other: (w, own, pos[own]) for other, w, own, _theirs
-                                in sorted(bt.tree[b], key=lambda e: (e[3], e[0]))})
         parent = {start: -1}
         order = [start]
         for b in order:
-            for other in self.bridge[b]:
+            for other in self.handed[b]:
                 if other not in parent:
                     parent[other] = b
                     order.append(other)
         for b in reversed(order[1:]):
             self._push(b, parent[b])
         for b in order:
-            for other in self.bridge[b]:
+            for other in self.handed[b]:
                 if other != parent[b]:
                     self._push(b, other, self.handed[other][b])
         # value[b]: root(b) once a walk asks for it, until a _drop changes b
         self.value: list[tuple[int, int] | None] = [None] * bt.n_blocks
-
-    def _by_position(self, b: int, up: int | None) -> dict[int, list[ChildContribution]]:
-        """The neighbours of b other than `up` that must be entered, by
-        attach position."""
-        out: dict[int, list[ChildContribution]] = {}
-        for other, (_, _, p) in self.bridge[b].items():
-            c = self.handed[other][b]
-            if other != up and not c.skipped:
-                out.setdefault(p, []).append(c)
-        return out
 
     def _step(self, b: int, seen, pivot: int, ends: tuple[int, ...]):
         """The DP step of block b with pivot at position `pivot`, leaving
@@ -537,38 +535,34 @@ class _Rerooted:
         return dp_cycle(top_at, closed, pivot, at_pivot, self.weights, ends)
 
     def _push(self, b: int, towards: int, seen=None) -> None:
-        """Block b seen across its bridge to `towards`, handed to `towards`
-        as a child contribution; `seen` is what `towards` handed b."""
-        w, own, e_pos = self.bridge[b][towards]
-        (d_l, closed), (d_p, open_) = self._step(b, seen, e_pos, (0, 1))
+        """Block b seen across its bridge to `towards`, its contribution to
+        `towards` updated in place and ranked there; `seen` is what
+        `towards` handed b, whose position is b's pivot."""
+        c, pivot = self.handed[b][towards], self.handed[towards][b].position
+        (d_l, closed), (d_p, open_) = self._step(b, seen, pivot, (0, 1))
         new, back = self.weights
-        c = self.handed[b][towards] = ChildContribution(
-            block=b,
-            entry=own,
-            # over the bridge onto a new vertex, back as a revisit
-            closed_cost=d_l + w * (new + back),
-            saving=d_l - d_p + w * back,
-            skipped=self.bt.blocks[b][0] == "vertex" and len(self.bridge[b]) == 1,
-            records=(closed, open_),
-        )
+        # over the bridge onto a new vertex, back as a revisit
+        c.closed_cost = d_l + c.weight * (new + back)
+        c.saving = d_l - d_p + c.weight * back
+        c.skipped = self.bt.blocks[b][0] == "vertex" and len(self.handed[b]) == 1
+        c.records = (closed, open_)
         tops = self.top_at[towards]
-        p = self.bridge[towards][b][2]
-        tops[p] = tops[p] or []
+        tops[c.position] = tops[c.position] or []
         if not c.skipped:
             self.closed[towards] += c.closed_cost
-        _rank(tops[p], c)
+        _rank(tops[c.position], c)
 
     def _drop(self, b: int, towards: int) -> None:
         """Take the contribution b handed `towards` out of towards' tables.
-        top_at at its position is ranked again if it was there, and is None
-        if no other neighbour is left there; towards' root value is cleared."""
+        top_at at its position is ranked again from what that position
+        files if it was there, and is None if no other neighbour is left
+        there; towards' root value is cleared."""
         old = self.handed[b][towards]
         self.value[towards] = None
         if not old.skipped:
             self.closed[towards] -= old.closed_cost
-        p = self.bridge[towards][b][2]
-        at_p = [self.handed[other][towards] for other, (_, _, q) in self.bridge[towards].items()
-                if q == p and other != b]
+        p = old.position
+        at_p = [c for c in self.into[towards][p] or () if c is not old]
         tops = self.top_at[towards]
         if not at_p:
             tops[p] = None
@@ -581,29 +575,33 @@ class _Rerooted:
         """Delete leaf block `leaf` and its bridge, and bring the tables of
         the blocks left to what a fresh build on them would hold.
 
-        Only the contributions that point away from the leaf change.  They
-        are recomputed outwards from its neighbour, and a branch stops at
-        the first one whose (closed_cost, saving, skipped) comes out as it
+        The leaf's contribution is unfiled from its attach position.  Only
+        the contributions that point away from the leaf change.  They are
+        recomputed outwards from its neighbour, and a branch stops at the
+        first one whose (closed_cost, saving, skipped) comes out as it
         was: what lies beyond reads nothing else of it.  The leaf is left
         with no top_at, which marks it removed."""
-        (attach,) = self.bridge[leaf]
-        gone, p = self.handed[leaf][attach], self.bridge[attach][leaf][2]
+        ((attach, gone),) = self.handed[leaf].items()
+        p = gone.position
         self._drop(leaf, attach)
-        del self.bridge[attach][leaf], self.handed[attach][leaf]
-        self.bridge[leaf], self.handed[leaf], self.top_at[leaf] = {}, {}, []
-        if (gone.skipped and self.top_at[attach][p] is not None
-                and (self.bt.blocks[attach][0] == "cycle" or len(self.bridge[attach]) > 1)):
+        at = self.into[attach]
+        at[p] = tuple(c for c in at[p] if c is not gone) or None
+        del self.handed[attach][leaf]
+        self.handed[leaf], self.into[leaf], self.top_at[leaf] = {}, [], []
+        if (gone.skipped and at[p] is not None
+                and (self.bt.blocks[attach][0] == "cycle" or len(self.handed[attach]) > 1)):
             # of a skipped leaf its neighbour reads only that position p
             # has a neighbour, and p still has one; nor does it turn into
             # a skipped leaf itself: its tables read as before
             return
-        queue = [(attach, towards) for towards in self.bridge[attach]]
+        queue = [(attach, towards) for towards in self.handed[attach]]
         for b, towards in queue:
-            old = self.handed[b][towards]
+            c = self.handed[b][towards]
+            before = _read_on(c)
             self._drop(b, towards)
             self._push(b, towards, self.handed[towards][b])
-            if _read_on(self.handed[b][towards]) != _read_on(old):
-                queue += [(towards, other) for other in self.bridge[towards] if other != b]
+            if _read_on(c) != before:
+                queue += [(towards, other) for other in self.handed[towards] if other != b]
 
     def root(self, b: int) -> tuple[int, int]:
         """Block b's least value as the root with both ends free, and the
@@ -631,16 +629,17 @@ class _Rerooted:
                 stack.extend(reversed(rest))
         return walk
 
-    def _exc(self, b: int, pos_kids, p: int, omit=()) -> list:
-        """Round trips into the children hanging at position p of block b."""
+    def _exc(self, b: int, p: int, omit=()) -> list:
+        """Round trips into the neighbours filed at position p of block b,
+        but for skipped ones and those in `omit`."""
         items: list = []
         vtx = self.bt.blocks[b][1][p]
-        for c in pos_kids.get(p, []):
-            if c.block not in omit:
+        for c in self.into[b][p] or ():
+            if not c.skipped and c.block not in omit:
                 items += [(0, c.block, b), vtx]
         return items
 
-    def _walk_arm(self, b: int, pos_kids, arm: list, depth: int, back_to: int,
+    def _walk_arm(self, b: int, arm: list, depth: int, back_to: int,
                   child: int | None = None) -> list:
         """Out along `arm`, the positions of cycle b from the pivot at
         arm[0], to `depth`, with the round trips into each vertex's
@@ -650,7 +649,7 @@ class _Rerooted:
         omit = (child,)
         items: list = []
         for i in range(1, depth + 1):
-            items += [verts[arm[i]]] + self._exc(b, pos_kids, arm[i], omit if i == back_to else ())
+            items += [verts[arm[i]]] + self._exc(b, arm[i], omit if i == back_to else ())
         items += [verts[arm[i]] for i in range(depth - 1, back_to - 1, -1)]
         if child is not None:
             items.append((1, child, b))
@@ -659,29 +658,29 @@ class _Rerooted:
     def _items(self, b: int, up: int | None, record) -> tuple[list, list]:
         """Items of block b's record, entered from `up` (None for a root),
         as (head, rest): head runs from the pivot out to end1, rest from
-        the pivot on to end2, so the walk is head reversed, then rest."""
+        the pivot on to end2, so the walk is head reversed, then rest.
+        `up` attaches at the pivot, the one position its walk leaves out."""
         verts = self.bt.blocks[b][1]
-        pos_kids = self._by_position(b, up)
         p, mode, *ends = record
-        at_pivot = [e[1] for e in ends if e is not None and e[0] == "child"]
-        middle = [verts[p]] + self._exc(b, pos_kids, p, omit=at_pivot)
+        at_pivot = [up] + [e[1] for e in ends if e is not None and e[0] == "child"]
+        middle = [verts[p]] + self._exc(b, p, omit=at_pivot)
         arms = {}
         if mode[0] != "vertex":
             right, left = _arms([*range(len(verts))], p)
             if mode[0] == "perim":
                 # once around: the whole clockwise arm, then the closing edge
                 tip = len(verts) - 1
-                middle += self._walk_arm(b, pos_kids, right, tip, tip) + [verts[p]]
+                middle += self._walk_arm(b, right, tip, tip) + [verts[p]]
             else:
                 arms = {"armR": (right, mode[1]), "armL": (left, mode[2])}
                 open_arms = {e[0] for e in ends if e is not None}
                 for name, (arm, depth) in arms.items():
                     if name not in open_arms:
-                        middle += self._walk_arm(b, pos_kids, arm, depth, 0)
+                        middle += self._walk_arm(b, arm, depth, 0)
         head, tail = (
             [] if e is None
             else [(1, e[1], b)] if e[0] == "child"
-            else self._walk_arm(b, pos_kids, *arms[e[0]], e[1], e[2])
+            else self._walk_arm(b, *arms[e[0]], e[1], e[2])
             for e in ends
         )
         return head, middle + tail
@@ -764,7 +763,7 @@ class CactusSolver:
         fewest revisits among those; every cost identity is asserted."""
         g, tvc, dp = self.g, self.tvc, self.dp
         new = dp.weights[0]
-        if tvc.cycles and not dp.bridge[0]:
+        if tvc.cycles and not dp.handed[0]:
             # a lone cycle (block 0, the first cycle, with no bridge left):
             # every vertex but the last two of its listing, the clockwise
             # arm from position 0 to its tip at depth t - 3

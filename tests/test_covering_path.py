@@ -269,7 +269,8 @@ class TestSolverOnOneBigCycle:
 class TestRerooting:
     # each bridge direction is evaluated once, by the bottom-up pass or by
     # the top-down one depending on where the passes start; the values,
-    # the records and the child order must not depend on that
+    # the records, the child order and each position's filed neighbours
+    # must not depend on that
     @pytest.mark.parametrize("n, seed, cycle_prob", [
         (14, 15, 0.45), (16, 51, 0.45), (25, 3, 0.45), (40, 7, 0.45),
         (30, 2, 0.2), (30, 4, 0.85),
@@ -282,6 +283,7 @@ class TestRerooting:
         for start in range(1, bt.n_blocks):
             other = _Rerooted(tvc, bt, start)
             assert other.handed == ref.handed, start
+            assert other.into == ref.into, start
             assert other.top_at == ref.top_at, start
             assert other.closed == ref.closed, start
 

@@ -15,6 +15,7 @@ from conftest import hash_fold_reference
 from cactusq.circuit_ir import Circuit, DeviceViolation, cnot_cost
 from cactusq.covering_path import solve_cactus
 from cactusq.families import chain_of_squares, cycle, fig3_cactus, line, star
+from cactusq import hash_synth
 from cactusq.graph_core import Graph, random_cactus
 from cactusq.hash_synth import (
     MAX_TRIALS,
@@ -243,6 +244,18 @@ class TestGoodSets:
             find_good_set(3, 0.25, seed=0, size=4)
         draws = int(re.search(r"in (\d+) trials", str(info.value)).group(1))
         assert 16 <= draws < MAX_TRIALS
+
+    def test_direct_condition_goes_first(self, monkeypatch):
+        # one coefficient's mean cosine is a single cosine, which some
+        # residue brings close to 1, so each of the 100 sets breaks the
+        # direct condition: the search never needs the closed form
+        calls = []
+        closed = hash_synth.modp_closed_form
+        monkeypatch.setattr(hash_synth, "modp_closed_form",
+                            lambda *args: calls.append(1) or closed(*args))
+        with pytest.raises(SearchExhausted):
+            find_good_set(101, 0.25, seed=0, size=1)
+        assert calls == []
 
     def test_empty_set_rejected(self):
         # the mean-cosine check divides by the set size

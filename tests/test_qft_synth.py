@@ -104,9 +104,10 @@ class TestOneSolverAcrossStages:
 class TestPendantRemoval:
     # after each in-place removal every live block's tables equal those of
     # a fresh build on the vertices left, value for value: folded values
-    # are compared as (length, revisits), each decoded with its own unit.
-    # A block is live while its top_at is not empty; the root values a
-    # walk keeps must be those its tables score at the time
+    # are compared as (length, revisits), each decoded with its own unit,
+    # and each position's filed neighbours in the fresh build's order.  A
+    # block is live while its top_at is not empty; the root values a walk
+    # keeps must be those its tables score at the time
     @staticmethod
     def check_against_fresh(g, solver):
         alive = [v for v in range(g.n) if v not in solver.removed]
@@ -132,6 +133,10 @@ class TestPendantRemoval:
                 else:
                     assert ([(renumber[c.block], divmod(c.saving, unit)) for c in top]
                             == [(c.block, divmod(c.saving, fresh_unit)) for c in ftop])
+            for at, fat in zip(kept.into[b], new.into[fb], strict=True):
+                assert (at is None) == (fat is None)
+                assert ([(renumber[c.block], c.position, c.skipped) for c in at or ()]
+                        == [(c.block, c.position, c.skipped) for c in fat or ()])
         assert solver.walk().vertices == tuple(old[v] for v in fresh.walk().vertices)
         for b in live:
             assert kept.value[b] is None or kept.value[b] == kept.root(b), b
