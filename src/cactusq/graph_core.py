@@ -341,7 +341,7 @@ def load_graph(path: str, max_n: int | None = None) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise GraphFormatError(f"invalid JSON: {exc}") from exc
     return graph_from_json_dict(data, max_n)
 

@@ -1,20 +1,22 @@
 """QFT synthesis on a cactus device via cascades of covering paths.
 
 `construct_s` simulates the whole schedule once: at stage r it solves the
-covering path on the surviving subgraph, labels the qubit at the path
+covering path on the vertices still in play, labels the qubit at the path
 start with r, rides it along the path's SWAPs, then parks it on a spare
 neighbor of the path end, which is excluded from later stages.  One
-solver serves the stages: a park that is a pendant of the survivors is
-removed from it in place, and only other parks (those that open a cycle,
-or the least survivor while a cycle is left) have it built again.  The
-stage walks are those of solving every stage afresh.  The final
-labels make every cascade a textbook QFT cascade in label space:
-cascade r applies H to the label-r qubit and a controlled phase of order
-(label - r + 1) from each survivor.  `cascade_for_path` emits one cascade
-as the hashing walk (`hash_synth.target_walk`) with controlled phases,
-after an H on the target and before the park: the park vertex sits out of
-the walk's firing, so its phase gate fuses with the closing park SWAP
-(phase gates commute, and the parked occupant never moves mid-cascade).
+solver serves the stages: a park that is a pendant of the vertices left
+is removed from it in place, and only other parks (those that open a
+cycle, or the least vertex left while a cycle is left) have it built
+again.  The stage walks are those of solving every stage afresh, and a
+plan holds only the walks and parks.  The final labels make every cascade
+a textbook QFT cascade in label space: cascade r applies H to the label-r
+qubit and a controlled phase of order (label - r + 1) from each qubit
+labelled above r.  `cascade_for_path` reads the labels off the layout of
+the circuit it appends to, and emits one cascade as the hashing walk
+(`hash_synth.target_walk`) with controlled phases, after an H on the
+target and before the park: the park vertex sits out of the walk's
+firing, so its phase gate fuses with the closing park SWAP (phase gates
+commute, and the parked occupant never moves mid-cascade).
 """
 
 from __future__ import annotations
@@ -35,24 +37,22 @@ class DisconnectedRemainder(Exception):
 
 @dataclass(frozen=True)
 class CascadeRecord:
-    """Everything needed to emit one cascade."""
+    """One stage's walk and park: cascade r's target starts at path[0] and
+    is parked on `park` (None at the last two stages)."""
 
     r: int
-    path: tuple[int, ...]  # the target starts at path[0]
+    path: tuple[int, ...]
     park: int | None
-    survivors: tuple[int, ...]
-    d_of: tuple[tuple[int, int], ...]  # (control vertex, phase order)
 
 
 @dataclass(frozen=True)
 class CascadePlan:
-    """Final labels S, final occupancy A, and the per-cascade records.
+    """Final labels S, final occupancy A, and each cascade's walk and park.
 
     S[v] is the cascade number (1..n) of the qubit that starts on vertex
     v; A[v] is the qubit resting on vertex v after all SWAPs.
     """
 
-    n: int
     S: tuple[int, ...]
     A: tuple[int, ...]
     cascades: tuple[CascadeRecord, ...]
@@ -74,39 +74,40 @@ def _connected_without(adjacency, vertices: set[int], removed: int) -> bool:
     return len(seen) == len(rest)
 
 
-def _choose_park(g: Graph, survivors: set[int], path: tuple[int, ...]) -> int:
+def _choose_park(g: Graph, alive: set[int], path: tuple[int, ...]) -> int:
     """Maximal-index neighbor of the path end whose removal keeps the rest
     connected; unvisited neighbors are preferred, visited ones are a
     recorded fallback."""
     end = path[-1]
     on_path = set(path)
-    nbrs = [u for u in g.adjacency[end] if u in survivors]
+    nbrs = [u for u in g.adjacency[end] if u in alive]
     unvisited = sorted((u for u in nbrs if u not in on_path), reverse=True)
     visited = sorted((u for u in nbrs if u in on_path), reverse=True)
     for u in unvisited + visited:
-        if _connected_without(g.adjacency, survivors, u):
+        if _connected_without(g.adjacency, alive, u):
             return u
     raise DisconnectedRemainder(
-        f"every neighbor of {end} disconnects the remaining {sorted(survivors)}"
+        f"every neighbor of {end} disconnects the remaining {sorted(alive)}"
     )
 
 
 def construct_s(g: Graph) -> CascadePlan:
-    """Run the full scheduling simulation and fix all cascade records.
+    """Run the full scheduling simulation and record each stage's walk and
+    park; the labels and the occupancy follow from these alone.
 
-    One `CactusSolver` on the induced survivors serves the stages.  A park
-    it can remove in place (a pendant of the survivors, see
+    One `CactusSolver` on the vertices still in play serves the stages.  A
+    park it can remove in place (a pendant of those vertices, see
     `CactusSolver.remove_pendant`) keeps it; any other park, such as one
-    that opens a cycle, has it built again on the survivors that are
-    left.  Survivors that are no cactus (e.g. complete graphs) fall back
-    to brute-force search, stage by stage."""
+    that opens a cycle, has it built again on the vertices left.  Vertices
+    left that form no cactus (e.g. complete graphs) fall back to
+    brute-force search, stage by stage."""
     n = g.n
     if n < 2:
         raise ValueError("the schedule needs at least 2 qubits")
     occ = list(range(n))  # occ[v] = qubit currently at vertex v
     labels = [0] * n      # labels[q] = cascade number of qubit q
     alive = list(range(n))
-    staged: list[tuple[int, tuple[int, ...], int | None, tuple[int, ...], tuple[int, ...]]] = []
+    records = []
     solver = None
     for r in range(1, n - 1):
         if solver is None:
@@ -119,65 +120,52 @@ def construct_s(g: Graph) -> CascadePlan:
                 pass
         walk = brute_force_oracle(sub) if solver is None else solver.walk()
         path = tuple(old[i] for i in walk.vertices)
-        snapshot = tuple(occ)
         labels[occ[path[0]]] = r
         for cur, nxt in zip(path, path[1:]):
             occ[cur], occ[nxt] = occ[nxt], occ[cur]
         park = _choose_park(g, set(alive), path)
         end = path[-1]
         occ[end], occ[park] = occ[park], occ[end]
-        staged.append((r, path, park, tuple(alive), snapshot))
+        records.append(CascadeRecord(r, path, park))
         alive.remove(park)
         if solver is not None and not solver.remove_pendant(bisect_left(old, park)):
             solver = None
     a, b = sorted(alive)
-    if not g.has_edge(a, b):  # parks keep survivors connected, so only n = 2
+    if not g.has_edge(a, b):  # parks keep the rest connected, so only n = 2
         raise NotConnected(f"vertex {b} unreachable from {a}")
     labels[occ[a]] = n - 1
     labels[occ[b]] = n
-    staged.append((n - 1, (a,), None, (a, b), tuple(occ)))
-    staged.append((n, (b,), None, (b,), tuple(occ)))
-
-    records = []
-    for r, path, park, survivors, snapshot in staged:
-        d_of = []
-        for u in survivors:
-            if u == path[0]:
-                continue
-            d = labels[snapshot[u]] - r + 1
-            assert d >= 2, "control scheduled before its own cascade"
-            d_of.append((u, d))
-        records.append(
-            CascadeRecord(
-                r=r,
-                path=path,
-                park=park,
-                survivors=survivors,
-                d_of=tuple(sorted(d_of)),
-            )
-        )
+    records += [CascadeRecord(n - 1, (a,), None), CascadeRecord(n, (b,), None)]
     assert sorted(labels) == list(range(1, n + 1))
-    return CascadePlan(n=n, S=tuple(labels), A=tuple(occ), cascades=tuple(records))
+    return CascadePlan(S=tuple(labels), A=tuple(occ), cascades=tuple(records))
 
 
-def cascade_for_path(g: Graph, record: CascadeRecord, circuit: Circuit) -> Circuit:
-    """Append one cascade to `circuit` and return it: H on the target,
-    `target_walk` with CRd gates (the park sits out of its firing), then
-    the park's CRd fused with the park SWAP."""
-    path, park = record.path, record.park
-    d = dict(record.d_of)
-    surv = set(record.survivors)
-    gates, fired = target_walk(g, path, surv - {park}, False,
-                               lambda u, at: Gate("CRd", (u, at), d=d[u]))
+def cascade_for_path(g: Graph, record: CascadeRecord, circuit: Circuit,
+                     labels: tuple[int, ...]) -> Circuit:
+    """Append cascade `record.r` to `circuit` and return it: H on the
+    target, `target_walk` with CRd gates (the park sits out of its firing),
+    then the park's CRd fused with the park SWAP.
+
+    `labels[q]` is the cascade number of qubit q (`CascadePlan.S`), and
+    `circuit` must hold the earlier cascades, since each vertex's label is
+    read from its layout.  Parked qubits hold labels below r and never
+    move again, so the vertices in play are those labelled r or above: the
+    target, and the controls, each of phase order label - r + 1."""
+    r, path, park = record.r, record.path, record.park
+    pos = circuit.final_permutation
+    label = {pos[q]: s for q, s in enumerate(labels) if s >= r}
+    assert label.get(path[0]) == r, "the target does not carry its cascade's label"
+    gates, fired = target_walk(g, path, label.keys() - {park}, False,
+                               lambda u, at: Gate("CRd", (u, at), d=label[u] - r + 1))
     circuit.h(path[0])
     circuit.extend(gates)
     if park is not None:
         end = path[-1]
         if park not in fired:  # else the walk fired it as a step target
-            circuit.crd(park, end, d[park])
+            circuit.crd(park, end, label[park] - r + 1)
             fired.add(park)
         circuit.swap(end, park)
-    assert fired | {path[0]} == surv, "a control was never reached"
+    assert fired | {path[0]} == label.keys(), "a control was never reached"
     return circuit
 
 
@@ -196,7 +184,7 @@ def synthesize_qft(g: Graph) -> tuple[Circuit, CostReport]:
     plan = construct_s(g)
     circuit = Circuit(n, device=g)
     for rec in plan.cascades:
-        cascade_for_path(g, rec, circuit)
+        cascade_for_path(g, rec, circuit, plan.S)
     final = circuit.final_permutation
     for v in range(n):
         assert final[plan.A[v]] == v, "layout trace drifted from the plan"
@@ -207,7 +195,7 @@ def synthesize_qft(g: Graph) -> tuple[Circuit, CostReport]:
     # the emission satisfies cnot = bound + 2*revisits exactly; a walk step
     # into an already-serviced vertex is a bare SWAP with nothing to fuse.
     # On a cactus a stage walk revisits only where every shortest covering
-    # walk of the stage's survivors revisits (solve_cactus's tie-break)
+    # walk of the stage's vertices revisits (solve_cactus's tie-break)
     assert cnots == big_k + n * n - n - 1 + 2 * revisits
     report = CostReport(
         cnot_count=cnots,

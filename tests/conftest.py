@@ -86,9 +86,11 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
 def cascade_stages_reference(g):
     """(walk, park) of every stage of `construct_s` but the last two, with
     each stage's survivors taken as an induced subgraph and solved afresh
-    by `solve_cactus` (by brute force where they are no cactus).  The rest
-    of a plan follows from these: the labels, the occupancy and every
-    record are replayed from the walks and parks alone.
+    by `solve_cactus` (by brute force where they are no cactus).  A plan
+    holds nothing more: its records are these walks and parks, and the
+    labels and the occupancy are replayed from them.  Each cascade's
+    controls and phase orders are read at emission, from the labels and
+    the circuit's layout.
     """
     alive = list(range(g.n))
     stages = []

@@ -216,27 +216,31 @@ def test_criterion_09_qft_cost_bounds(corpus):
         # a bare SWAP (2 more).  A revisit is allowed only where it is
         # forced: the walk is a shortest covering walk of the survivors,
         # none of that length is simple, and none makes fewer revisits.
+        # A stage's survivors are the vertices no earlier stage parked on,
+        # and its cost is what it adds to the circuit of the stages before.
         forced_revisits = 0
-        for rec in construct_s(g).cascades:
-            if rec.r > n - 2:
-                continue
-            share = 2 * (len(rec.survivors) - 1) + len(rec.path)
+        plan = construct_s(g)
+        circuit = Circuit(n, device=g)
+        survivors = list(range(n))
+        for rec in plan.cascades[:-2]:
+            share = 2 * (len(survivors) - 1) + len(rec.path)
             revisits = len(rec.path) - len(set(rec.path))
-            stage = cascade_for_path(g, rec, Circuit(n, device=g))
-            if cnot_cost(stage) != share + 2 * revisits:
+            before = cnot_cost(circuit)
+            cascade_for_path(g, rec, circuit, plan.S)
+            if cnot_cost(circuit) - before != share + 2 * revisits:
                 stage_off += 1
-            if not revisits:
-                continue
-            sub, _ = g.induced_subgraph(rec.survivors)
-            k = len(rec.path)
-            simple = shortest_simple_covering_walk(sub)
-            if (brute_force_oracle(sub).k == k
-                    and (simple is None or len(simple) > k)
-                    and fewest_revisits(sub, k) == revisits):
-                forced += 1
-                forced_revisits += revisits
-            else:
-                avoidable += 1
+            if revisits:
+                sub, _ = g.induced_subgraph(survivors)
+                k = len(rec.path)
+                simple = shortest_simple_covering_walk(sub)
+                if (brute_force_oracle(sub).k == k
+                        and (simple is None or len(simple) > k)
+                        and fewest_revisits(sub, k) == revisits):
+                    forced += 1
+                    forced_revisits += revisits
+                else:
+                    avoidable += 1
+            survivors.remove(rec.park)
         if rep.cnot_count - rep.formula_value != 2 * forced_revisits:
             total_off += 1
     c, _ = synthesize_qft(complete(5))

@@ -180,6 +180,19 @@ class TestCostAndGen:
         assert exc.value.code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # json.load recurses once per nesting level
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"n": 2, "edges": ' + "[" * 100000 + "]" * 100000 + "}",
+    ], ids=["array", "nested_value"])
+    def test_deeply_nested_graph_file(self, tmp_path, text):
+        graph = tmp_path / "deep.json"
+        graph.write_text(text, encoding="utf-8")
+        proc = run_cli("path", "--graph", str(graph), expect_code=1)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: invalid JSON: ")
+
     @pytest.mark.parametrize("args", [
         ["hash", "--graph", "fig3"],
         ["cost", "--graph", "line1"],

@@ -203,34 +203,49 @@ class TestPendantRemoval:
 
 
 class TestCascadeForPath:
+    @staticmethod
+    def stages(g):
+        """Each cascade of g's plan with its gates, emitted in order into
+        one circuit."""
+        plan = construct_s(g)
+        c = Circuit(g.n, device=g)
+        for rec in plan.cascades:
+            start = len(c.gates)
+            cascade_for_path(g, rec, c, plan.S)
+            yield rec, c.gates[start:]
+
     def test_line3_first_cascade(self):
         g = line(3)
         plan = construct_s(g)
-        frag = cascade_for_path(g, plan.cascades[0], Circuit(g.n, device=g))
+        frag = cascade_for_path(g, plan.cascades[0], Circuit(g.n, device=g), plan.S)
         kinds = [gg.kind for gg in frag.gates]
         # H at the target, one neighbor fired in place, the park rotation
         # fused with the park SWAP
         assert kinds == ["H", "CRd", "CRd", "SWAP"]
 
     def test_last_cascade_is_hadamard_only(self):
-        g = line(4)
-        plan = construct_s(g)
-        frag = cascade_for_path(g, plan.cascades[-1], Circuit(g.n, device=g))
-        assert [gg.kind for gg in frag.gates] == ["H"]
+        *_, (rec, gates) = self.stages(line(4))
+        assert rec.r == 4
+        assert [gg.kind for gg in gates] == ["H"]
 
     def test_every_control_fires_once(self):
         g = fig3_cactus()
+        for rec, gates in self.stages(g):
+            assert sum(gg.kind == "CRd" for gg in gates) == g.n - rec.r
+
+    def test_target_must_carry_the_stage_label(self):
+        # a fresh circuit lacks stage 1's SWAPs: vertex 3, where stage 2's
+        # walk starts, still holds qubit 3, which is labelled 1
+        g = line(5)
         plan = construct_s(g)
-        for rec in plan.cascades:
-            frag = cascade_for_path(g, rec, Circuit(g.n, device=g))
-            assert frag.count("CRd") == len(rec.survivors) - 1
+        with pytest.raises(AssertionError, match="label"):
+            cascade_for_path(g, plan.cascades[1], Circuit(g.n, device=g), plan.S)
 
     def test_park_on_the_walk_fired_as_a_step(self):
         # a park the walk already fired gets a bare park SWAP
         g = cycle(4)
-        rec = CascadeRecord(r=1, path=(0, 1, 2), park=1,
-                            survivors=(0, 1, 2, 3), d_of=((1, 2), (2, 3), (3, 4)))
-        c = cascade_for_path(g, rec, Circuit(g.n, device=g))
+        rec = CascadeRecord(r=1, path=(0, 1, 2), park=1)
+        c = cascade_for_path(g, rec, Circuit(g.n, device=g), (1, 2, 3, 4))
         assert [(gg.kind, gg.qubits, gg.d) for gg in c.gates] == [
             ("H", (0,), None),
             ("CRd", (3, 0), 4),
@@ -244,9 +259,8 @@ class TestCascadeForPath:
     def test_walk_back_over_its_start(self):
         # the target's start vertex never fires, however often it is passed
         g = line(4)
-        rec = CascadeRecord(r=1, path=(1, 0, 1, 2), park=3,
-                            survivors=(0, 1, 2, 3), d_of=((0, 2), (2, 3), (3, 4)))
-        c = cascade_for_path(g, rec, Circuit(g.n, device=g))
+        rec = CascadeRecord(r=1, path=(1, 0, 1, 2), park=3)
+        c = cascade_for_path(g, rec, Circuit(g.n, device=g), (2, 1, 3, 4))
         assert sorted(gg.qubits[0] for gg in c.gates if gg.kind == "CRd") == [0, 2, 3]
 
 
