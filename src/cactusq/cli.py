@@ -49,7 +49,7 @@ from .hash_synth import (
     hash_reference_circuit,
     synthesize_hash,
 )
-from .qft_synth import DisconnectedRemainder, synthesize_qft
+from .qft_synth import synthesize_qft
 from .verify_sim import (
     MAX_QUBITS,
     TooManyQubits,
@@ -65,7 +65,6 @@ _VALIDATION_ERRORS = (
     TooManyQubits,
     PathNotCovering,
     SearchExhausted,
-    DisconnectedRemainder,
     ValueError,
     OSError,
 )

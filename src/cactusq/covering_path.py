@@ -23,6 +23,7 @@ from operator import add, attrgetter
 from .graph_core import (
     BlockTree,
     Graph,
+    NotConnected,
     WeightedVertexCactus,
     build_block_tree,
     build_vertex_cactus,
@@ -82,7 +83,8 @@ class CoveringPath:
 def _shortest_walk(g: Graph, mask_of) -> CoveringPath:
     """Shortest walk whose vertices' bit masks, `mask_of(v)`, together
     cover every vertex, by BFS over (vertex, union of the masks so far).
-    Exponential in n; raises TooLarge above ORACLE_LIMIT vertices."""
+    Exponential in n; raises TooLarge above ORACLE_LIMIT vertices, and
+    NotConnected when no walk covers every vertex."""
     if g.n > ORACLE_LIMIT:
         raise TooLarge(f"n={g.n} exceeds the oracle limit {ORACLE_LIMIT}")
     full = (1 << g.n) - 1
@@ -105,7 +107,7 @@ def _shortest_walk(g: Graph, mask_of) -> CoveringPath:
             if nxt not in parent:
                 parent[nxt] = state
                 queue.append(nxt)
-    raise AssertionError("a connected graph admits such a walk")
+    raise NotConnected("no walk covers every vertex: the graph is not connected")
 
 
 def brute_force_oracle(g: Graph) -> CoveringPath:

@@ -4,18 +4,19 @@
 covering path and every other qubit fires once, off-path neighbors where
 the walk first passes them and path vertices fused with the SWAP that
 moves the target onto them.  One hashing application is that walk with
-controlled Ry gates (`qft_synth` adds an H and a park SWAP for a QFT
-cascade).  Repeated applications alternate walk direction so consecutive
-applications meet on a shared control: the CRy one application ends with
-and its partner among the next one's opening rotations, which commute,
-merge into one double-angle rotation at the seam.  The reverse SWAPs undo
-the forward ones, so the qubits are back in place after every pair of
-applications and the fold repeats with a period of two: the forward and
-the reverse application are each built once, and every later application
-appends the same gates again.  Also contains the Theorem 1 cost formula
-(asserted by `synthesize_hash`), the MOD_p coefficient math (the good-set
-check and the automaton's closed-form acceptance), the good-coefficient-
-set search, and the full MOD_p automaton circuit (H sandwich around the
+controlled Ry gates (a QFT cascade in `qft_synth` is an H and the walk
+with controlled phases, with one more step onto the park).  Repeated
+applications alternate walk direction so consecutive applications meet on
+a shared control: the CRy one application ends with and its partner among
+the next one's opening rotations, which commute, merge into one
+double-angle rotation at the seam.  The reverse SWAPs undo the forward
+ones, so the qubits are back in place after every pair of applications
+and the fold repeats with a period of two: the forward and the reverse
+application are each built once, and every later application appends the
+same gates again.  Also contains the Theorem 1 cost formula (asserted by
+`synthesize_hash`), the MOD_p coefficient math (the good-set check and
+the automaton's closed-form acceptance), the good-coefficient-set
+search, and the full MOD_p automaton circuit (H sandwich around the
 repeated operator).
 """
 

@@ -2,37 +2,36 @@
 
 `construct_s` simulates the whole schedule once: at stage r it solves the
 covering path on the vertices still in play, labels the qubit at the path
-start with r, rides it along the path's SWAPs, then parks it on a spare
-neighbor of the path end, which is excluded from later stages.  One
-solver serves the stages: a park that is a pendant of the vertices left
-is removed from it in place, and only other parks (those that open a
-cycle, or the least vertex left while a cycle is left) have it built
-again.  The stage walks are those of solving every stage afresh, and a
-plan holds only the walks and parks.  The final labels make every cascade
-a textbook QFT cascade in label space: cascade r applies H to the label-r
-qubit and a controlled phase of order (label - r + 1) from each qubit
-labelled above r.  `cascade_for_path` reads the labels off the layout of
-the circuit it appends to, and emits one cascade as the hashing walk
-(`hash_synth.target_walk`) with controlled phases, after an H on the
-target and before the park: the park vertex sits out of the walk's
-firing, so its phase gate fuses with the closing park SWAP (phase gates
-commute, and the parked occupant never moves mid-cascade).
+start with r, rides it along the path's SWAPs, then parks it on the
+largest neighbor of the path end that is off the walk, which is excluded
+from later stages.  Such a neighbor exists, and removing it keeps the
+vertices left connected, because the walk is a shortest 1-covering walk
+of them: were every neighbor of the end on the walk, the walk without its
+end would still cover them, and every vertex left is on the walk or next
+to it, while the walk avoids the park.  One solver serves the stages: a
+park that is a pendant of the vertices left is removed from it in place,
+and only other parks (those that open a cycle, or the least vertex left
+while a cycle is left) have it built again.  The stage walks are those of
+solving every stage afresh, and a plan holds only the walks and parks.
+The final labels make every cascade a textbook QFT cascade in label
+space: cascade r applies H to the label-r qubit and a controlled phase of
+order (label - r + 1) from each qubit labelled above r.
+`cascade_for_path` reads the labels off the layout of the circuit it
+appends to, and emits one cascade as an H on the target and the hashing
+walk (`hash_synth.target_walk`) with controlled phases along the path and
+on to the park, its last step: the park fires as that step's target and
+the SWAP parks the target there.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 from .circuit_ir import Circuit, CostReport, Gate, cnot_cost
 from .covering_path import CactusSolver, brute_force_oracle
 from .graph_core import Graph, NotACactus, NotConnected
 from .hash_synth import target_walk
-
-
-class DisconnectedRemainder(Exception):
-    """No admissible park vertex keeps the surviving subgraph connected."""
 
 
 @dataclass(frozen=True)
@@ -58,42 +57,10 @@ class CascadePlan:
     cascades: tuple[CascadeRecord, ...]
 
 
-def _connected_without(adjacency, vertices: set[int], removed: int) -> bool:
-    rest = vertices - {removed}
-    if not rest:
-        return True
-    start = next(iter(rest))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adjacency[v]:
-            if u in rest and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(rest)
-
-
-def _choose_park(g: Graph, alive: set[int], path: tuple[int, ...]) -> int:
-    """Maximal-index neighbor of the path end whose removal keeps the rest
-    connected; unvisited neighbors are preferred, visited ones are a
-    recorded fallback."""
-    end = path[-1]
-    on_path = set(path)
-    nbrs = [u for u in g.adjacency[end] if u in alive]
-    unvisited = sorted((u for u in nbrs if u not in on_path), reverse=True)
-    visited = sorted((u for u in nbrs if u in on_path), reverse=True)
-    for u in unvisited + visited:
-        if _connected_without(g.adjacency, alive, u):
-            return u
-    raise DisconnectedRemainder(
-        f"every neighbor of {end} disconnects the remaining {sorted(alive)}"
-    )
-
-
 def construct_s(g: Graph) -> CascadePlan:
     """Run the full scheduling simulation and record each stage's walk and
-    park; the labels and the occupancy follow from these alone.
+    park; the labels and the occupancy follow from these alone.  The park
+    is the walk's last step: the largest neighbor of its end off the walk.
 
     One `CactusSolver` on the vertices still in play serves the stages.  A
     park it can remove in place (a pendant of those vertices, see
@@ -106,7 +73,7 @@ def construct_s(g: Graph) -> CascadePlan:
         raise ValueError("the schedule needs at least 2 qubits")
     occ = list(range(n))  # occ[v] = qubit currently at vertex v
     labels = [0] * n      # labels[q] = cascade number of qubit q
-    alive = list(range(n))
+    alive = set(range(n))
     records = []
     solver = None
     for r in range(1, n - 1):
@@ -120,12 +87,13 @@ def construct_s(g: Graph) -> CascadePlan:
                 pass
         walk = brute_force_oracle(sub) if solver is None else solver.walk()
         path = tuple(old[i] for i in walk.vertices)
+        # the largest neighbor of the walk's end off the walk: one exists,
+        # and removing it keeps the rest connected (module docstring)
+        park = max(alive.intersection(g.adjacency[path[-1]]).difference(path), default=None)
+        assert park is not None, f"every neighbor of the walk's end is on the walk {path}"
         labels[occ[path[0]]] = r
-        for cur, nxt in zip(path, path[1:]):
+        for cur, nxt in zip(path, path[1:] + (park,)):
             occ[cur], occ[nxt] = occ[nxt], occ[cur]
-        park = _choose_park(g, set(alive), path)
-        end = path[-1]
-        occ[end], occ[park] = occ[park], occ[end]
         records.append(CascadeRecord(r, path, park))
         alive.remove(park)
         if solver is not None and not solver.remove_pendant(bisect_left(old, park)):
@@ -143,8 +111,9 @@ def construct_s(g: Graph) -> CascadePlan:
 def cascade_for_path(g: Graph, record: CascadeRecord, circuit: Circuit,
                      labels: tuple[int, ...]) -> Circuit:
     """Append cascade `record.r` to `circuit` and return it: H on the
-    target, `target_walk` with CRd gates (the park sits out of its firing),
-    then the park's CRd fused with the park SWAP.
+    target, then `target_walk` with CRd gates along the path and on to the
+    park, so the park fires as the last step's target and that step's SWAP
+    parks the target.
 
     `labels[q]` is the cascade number of qubit q (`CascadePlan.S`), and
     `circuit` must hold the earlier cascades, since each vertex's label is
@@ -155,16 +124,11 @@ def cascade_for_path(g: Graph, record: CascadeRecord, circuit: Circuit,
     pos = circuit.final_permutation
     label = {pos[q]: s for q, s in enumerate(labels) if s >= r}
     assert label.get(path[0]) == r, "the target does not carry its cascade's label"
-    gates, fired = target_walk(g, path, label.keys() - {park}, False,
+    steps = path if park is None else path + (park,)
+    gates, fired = target_walk(g, steps, label.keys(), False,
                                lambda u, at: Gate("CRd", (u, at), d=label[u] - r + 1))
     circuit.h(path[0])
     circuit.extend(gates)
-    if park is not None:
-        end = path[-1]
-        if park not in fired:  # else the walk fired it as a step target
-            circuit.crd(park, end, label[park] - r + 1)
-            fired.add(park)
-        circuit.swap(end, park)
     assert fired | {path[0]} == label.keys(), "a control was never reached"
     return circuit
 

@@ -1,17 +1,17 @@
 """Shared helpers: seeded random circuits for fidelity tests, a
 one-application-at-a-time reference for the l-fold hashing operator, a
-solve-every-stage-afresh reference for the QFT schedule, and exhaustive
-searches for shortest simple covering walks and for the fewest revisits
-a covering walk of a given length can make."""
+solve-every-stage-afresh reference for the QFT schedule with a park
+search, and exhaustive searches for shortest simple covering walks and
+for the fewest revisits a covering walk of a given length can make."""
 
 import math
 import random
+from collections import deque
 
 from cactusq.circuit_ir import Circuit, Gate
 from cactusq.covering_path import brute_force_oracle, solve_cactus
 from cactusq.graph_core import NotACactus
 from cactusq.hash_synth import construct_for_path
-from cactusq.qft_synth import _choose_park
 
 
 def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:
@@ -83,14 +83,42 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
     return circuit
 
 
+def connected_without(g, vertices, removed) -> bool:
+    """Whether `vertices` minus `removed` induce a connected subgraph of g
+    (breadth-first from any one of them)."""
+    rest = set(vertices) - {removed}
+    if not rest:
+        return True
+    start = next(iter(rest))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in g.adjacency[v]:
+            if u in rest and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == len(rest)
+
+
+def park_search(g, alive, path):
+    """The park a search over the neighbors of the walk's end finds: the
+    largest one whose removal keeps the survivors `alive` connected, off
+    the walk first, on the walk as a fallback; None when none does."""
+    nbrs = [u for u in g.adjacency[path[-1]] if u in alive]
+    off_walk = sorted((u for u in nbrs if u not in path), reverse=True)
+    on_walk = sorted((u for u in nbrs if u in path), reverse=True)
+    return next((u for u in off_walk + on_walk if connected_without(g, alive, u)), None)
+
+
 def cascade_stages_reference(g):
     """(walk, park) of every stage of `construct_s` but the last two, with
     each stage's survivors taken as an induced subgraph and solved afresh
-    by `solve_cactus` (by brute force where they are no cactus).  A plan
-    holds nothing more: its records are these walks and parks, and the
-    labels and the occupancy are replayed from them.  Each cascade's
-    controls and phase orders are read at emission, from the labels and
-    the circuit's layout.
+    by `solve_cactus` (by brute force where they are no cactus), and each
+    park found by `park_search`.  A plan holds nothing more: its records
+    are these walks and parks, and the labels and the occupancy are
+    replayed from them.  Each cascade's controls and phase orders are read
+    at emission, from the labels and the circuit's layout.
     """
     alive = list(range(g.n))
     stages = []
@@ -101,7 +129,8 @@ def cascade_stages_reference(g):
         except NotACactus:
             walk = brute_force_oracle(sub)
         path = tuple(old[i] for i in walk.vertices)
-        park = _choose_park(g, set(alive), path)
+        park = park_search(g, alive, path)
+        assert park is not None, "every neighbor of the walk's end disconnects the rest"
         stages.append((path, park))
         alive.remove(park)
     return stages

@@ -193,6 +193,19 @@ class TestCostAndGen:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: invalid JSON: ")
 
+    # K4 plus an isolated vertex: the cactus check stops at K4's second
+    # cycle, so the brute-force walk search is the one to find the gap
+    @pytest.mark.parametrize("args", [["qft"], ["verify", "--what", "qft"]])
+    def test_disconnected_non_cactus(self, capsys, tmp_path, args):
+        graph = tmp_path / "k4_isolated.json"
+        edges = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        graph.write_text(json.dumps({"n": 5, "edges": edges}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--graph", str(graph)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == \
+            "error: no walk covers every vertex: the graph is not connected\n"
+
     @pytest.mark.parametrize("args", [
         ["hash", "--graph", "fig3"],
         ["cost", "--graph", "line1"],

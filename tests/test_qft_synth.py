@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cascade_stages_reference, shortest_simple_covering_walk
+from conftest import cascade_stages_reference, connected_without, shortest_simple_covering_walk
 
 from cactusq.circuit_ir import Circuit, cnot_cost
 from cactusq.covering_path import CactusSolver
@@ -92,6 +92,20 @@ class TestOneSolverAcrossStages:
     def test_large_cacti_match_the_reference(self, seed):
         g = random_cactus(200, seed)
         assert self.stages(g) == cascade_stages_reference(g)
+
+    # the park needs no search: a shortest 1-covering walk's end has a
+    # neighbor off the walk, and removing any vertex off the walk keeps
+    # the survivors connected; checked on brute-force stages and at n = 200
+    @pytest.mark.parametrize("g", [complete(n) for n in range(3, 8)]
+                             + [random_cactus(200, seed) for seed in range(3)],
+                             ids=[f"k{n}" for n in range(3, 8)]
+                             + [f"cactus200-{seed}" for seed in range(3)])
+    def test_parks_are_off_the_walk_and_keep_the_rest_connected(self, g):
+        alive = set(range(g.n))
+        for path, park in self.stages(g):
+            assert g.has_edge(path[-1], park) and park not in path
+            assert connected_without(g, alive, park)
+            alive.remove(park)
 
     def test_least_survivor_stays_on_the_rebuild_path(self):
         # here a pendant park is the least survivor while a cycle is left;
@@ -219,8 +233,8 @@ class TestCascadeForPath:
         plan = construct_s(g)
         frag = cascade_for_path(g, plan.cascades[0], Circuit(g.n, device=g), plan.S)
         kinds = [gg.kind for gg in frag.gates]
-        # H at the target, one neighbor fired in place, the park rotation
-        # fused with the park SWAP
+        # H at the target, one neighbor fired in place, then the step onto
+        # the park: its rotation fused with the SWAP
         assert kinds == ["H", "CRd", "CRd", "SWAP"]
 
     def test_last_cascade_is_hadamard_only(self):
@@ -242,7 +256,8 @@ class TestCascadeForPath:
             cascade_for_path(g, plan.cascades[1], Circuit(g.n, device=g), plan.S)
 
     def test_park_on_the_walk_fired_as_a_step(self):
-        # a park the walk already fired gets a bare park SWAP
+        # the park is the walk's last step, so one the walk already fired
+        # gets a bare SWAP
         g = cycle(4)
         rec = CascadeRecord(r=1, path=(0, 1, 2), park=1)
         c = cascade_for_path(g, rec, Circuit(g.n, device=g), (1, 2, 3, 4))
