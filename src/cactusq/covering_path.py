@@ -590,11 +590,12 @@ class _Rerooted:
         at[p] = tuple(c for c in at[p] if c is not gone) or None
         del self.handed[attach][leaf]
         self.handed[leaf], self.into[leaf], self.top_at[leaf] = {}, [], []
-        if (gone.skipped and at[p] is not None
+        # the leaf, a pendant vertex, is skipped: the push that left it one
+        # bridge set that.  So its neighbour reads only that position p has
+        # a neighbour, and if p still has one and the neighbour does not
+        # turn into a skipped leaf itself, its tables read as before
+        if (at[p] is not None
                 and (self.bt.blocks[attach][0] == "cycle" or len(self.handed[attach]) > 1)):
-            # of a skipped leaf its neighbour reads only that position p
-            # has a neighbour, and p still has one; nor does it turn into
-            # a skipped leaf itself: its tables read as before
             return
         queue = [(attach, towards) for towards in self.handed[attach]]
         for b, towards in queue:
@@ -727,7 +728,8 @@ class CactusSolver:
 
     A pendant removed in place leaves the numbering a fresh build on the
     vertices left would give, in relative order: vertex ids, copy ids and
-    block ids, and the cycles with their listings and hubs.  Those orders
+    block ids, and the cycles with their listings and hubs, since
+    `validate_cactus` numbers the cycles by their vertices.  Those orders
     are the solver's only tie-breaks, so `walk` returns the fresh build's
     walk.  The step weights stay the first build's.  Their `unit` is
     larger than a fresh build's and orders any two candidate walks the
@@ -740,23 +742,14 @@ class CactusSolver:
         self.bt = build_block_tree(self.tvc)
         self.dp = _Rerooted(self.tvc, self.bt)
         self.removed: set[int] = set()
-        self.first = 0  # the least vertex left, where validate_cactus starts its DFS
 
     def remove_pendant(self, v: int) -> bool:
-        """Remove vertex v in place if it has one neighbour left, unless v
-        is the least vertex left while a cycle is left too; otherwise
-        remove nothing and return False.
-
-        The DFS of a fresh build visits and pops such a v with no back
-        edge, so the cycles it finds do not change.  From the least vertex
-        it would start elsewhere, which with a cycle left can change the
-        order the cycles are found in, or a cycle's listing or hub."""
-        if (sum(u not in self.removed for u in self.g.adjacency[v]) != 1
-                or v == self.first and self.tvc.cycles):
+        """Remove vertex v in place if it has one neighbour left; otherwise
+        remove nothing and return False.  Such a v is on no cycle, so a
+        fresh build finds the same cycles and numbers them the same way."""
+        if sum(u not in self.removed for u in self.g.adjacency[v]) != 1:
             return False
         self.removed.add(v)
-        while self.first in self.removed:
-            self.first += 1
         self.dp.remove_leaf(self.bt.block_of[v])
         return True
 

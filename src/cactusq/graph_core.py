@@ -94,23 +94,26 @@ class Graph:
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    """Simple cycles of a cactus, indexed in DFS-discovery order from 0.
+    """Simple cycles of a cactus, numbered by their vertices alone.
 
-    Each cycle is listed starting from its DFS-first vertex and following
-    the DFS tree path.  `membership[v]` lists (in discovery order) the
-    cycles through v; `cycle_of_edge` maps a sorted edge pair to its cycle
-    index (bridges are absent from the map).
+    Each cycle is listed from its least vertex towards the lesser of that
+    vertex's two neighbours on it, and the cycles are indexed from 0 in
+    increasing order of their listings.  `membership[v]` lists (in index
+    order) the cycles through v; `cycle_edges` holds the sorted pair of
+    every edge on a cycle (bridges are absent).
     """
 
     cycles: tuple[tuple[int, ...], ...]
     membership: tuple[tuple[int, ...], ...]
-    cycle_of_edge: dict = field(compare=False)
+    cycle_edges: set = field(compare=False)
 
 
 def validate_cactus(g: Graph) -> CycleDecomposition:
     """Check that g is a connected cactus; return its cycle decomposition.
 
     Raises NotConnected or NotACactus (naming an edge on two cycles).
+    The numbering reads no DFS order, so removing a vertex on no cycle
+    keeps the other cycles' relative order and listings.
     """
     n = g.n
     parent = [-1] * n
@@ -122,7 +125,7 @@ def validate_cactus(g: Graph) -> CycleDecomposition:
     disc[0] = 0
     it = [iter(g.adjacency[v]) for v in range(n)]
     cycles: list[tuple[int, ...]] = []
-    edge_cycle: dict[tuple[int, int], int] = {}
+    cycle_edges: set[tuple[int, int]] = set()
     while stack:
         v = stack[-1]
         advanced = False
@@ -143,18 +146,23 @@ def validate_cactus(g: Graph) -> CycleDecomposition:
                     w = parent[w]
                     cyc.append(w)
                 cyc.reverse()  # starts at u, the DFS-first vertex
-                idx = len(cycles)
                 for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
                     ekey = (min(a, b), max(a, b))
-                    if ekey in edge_cycle:
+                    if ekey in cycle_edges:
                         raise NotACactus(f"edge {ekey} lies on two cycles")
-                    edge_cycle[ekey] = idx
+                    cycle_edges.add(ekey)
+                # listed from its least vertex, towards its lesser neighbour
+                i = cyc.index(min(cyc))
+                cyc = cyc[i:] + cyc[:i]
+                if cyc[-1] < cyc[1]:
+                    cyc[1:] = cyc[:0:-1]
                 cycles.append(tuple(cyc))
         if not advanced:
             stack.pop()
     if found != n:
         missing = next(v for v in range(n) if disc[v] == -1)
         raise NotConnected(f"vertex {missing} unreachable from 0")
+    cycles.sort()
     membership: list[list[int]] = [[] for _ in range(n)]
     for idx, cyc in enumerate(cycles):
         for v in cyc:
@@ -162,7 +170,7 @@ def validate_cactus(g: Graph) -> CycleDecomposition:
     return CycleDecomposition(
         cycles=tuple(cycles),
         membership=tuple(tuple(m) for m in membership),
-        cycle_of_edge=edge_cycle,
+        cycle_edges=cycle_edges,
     )
 
 
@@ -198,10 +206,7 @@ def build_vertex_cactus(g: Graph, d: CycleDecomposition) -> WeightedVertexCactus
     origin: list[int] = list(range(g.n))
     copy_id: dict[tuple[int, int], int] = {}
     for v in range(g.n):
-        cycs = d.membership[v]
-        if cycs:
-            copy_id[(v, cycs[0])] = v
-        for c in cycs[1:]:
+        for c in d.membership[v][1:]:
             copy_id[(v, c)] = len(origin)
             origin.append(v)
     nn = len(origin)
@@ -211,19 +216,18 @@ def build_vertex_cactus(g: Graph, d: CycleDecomposition) -> WeightedVertexCactus
         adj[a].append((b, w))
         adj[b].append((a, w))
 
-    for v in range(g.n):
-        for c in d.membership[v][1:]:
-            add(v, copy_id[(v, c)], 0)
+    for (v, _), copy in copy_id.items():
+        add(v, copy, 0)
     for u, v in g.edges():
-        c = d.cycle_of_edge.get((u, v))
-        if c is None:
+        if (u, v) not in d.cycle_edges:
             add(u, v, 1)  # bridge: hubs keep their original ids
-        else:
-            add(copy_id.get((u, c), u), copy_id.get((v, c), v), 1)
     t_cycles = tuple(
         tuple(copy_id.get((v, ci), v) for v in cyc)
         for ci, cyc in enumerate(d.cycles)
     )
+    for cyc in t_cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            add(a, b, 1)
     return WeightedVertexCactus(
         n=nn,
         adjacency=tuple(tuple(sorted(a)) for a in adj),

@@ -10,9 +10,9 @@ of them: were every neighbor of the end on the walk, the walk without its
 end would still cover them, and every vertex left is on the walk or next
 to it, while the walk avoids the park.  One solver serves the stages: a
 park that is a pendant of the vertices left is removed from it in place,
-and only other parks (those that open a cycle, or the least vertex left
-while a cycle is left) have it built again.  The stage walks are those of
-solving every stage afresh, and a plan holds only the walks and parks.
+and only a park that opens a cycle has it built again.  The stage walks
+are those of solving every stage afresh, and a plan holds only the walks
+and parks.
 The final labels make every cascade a textbook QFT cascade in label
 space: cascade r applies H to the label-r qubit and a controlled phase of
 order (label - r + 1) from each qubit labelled above r.
@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .circuit_ir import Circuit, CostReport, Gate, cnot_cost
-from .covering_path import CactusSolver, brute_force_oracle
+from .covering_path import ORACLE_LIMIT, CactusSolver, brute_force_oracle
 from .graph_core import Graph, NotACactus, NotConnected
 from .hash_synth import target_walk
 
@@ -63,11 +63,12 @@ def construct_s(g: Graph) -> CascadePlan:
     is the walk's last step: the largest neighbor of its end off the walk.
 
     One `CactusSolver` on the vertices still in play serves the stages.  A
-    park it can remove in place (a pendant of those vertices, see
-    `CactusSolver.remove_pendant`) keeps it; any other park, such as one
-    that opens a cycle, has it built again on the vertices left.  Vertices
-    left that form no cactus (e.g. complete graphs) fall back to
-    brute-force search, stage by stage."""
+    park that is a pendant of those vertices is removed from it in place
+    (`CactusSolver.remove_pendant`); a park that opens a cycle has it
+    built again on the vertices left.  Vertices left that form no cactus
+    (e.g. complete graphs) fall back to brute-force search, stage by
+    stage, up to `ORACLE_LIMIT` vertices; above it the `NotACactus` is
+    raised again, naming that limit."""
     n = g.n
     if n < 2:
         raise ValueError("the schedule needs at least 2 qubits")
@@ -83,8 +84,10 @@ def construct_s(g: Graph) -> CascadePlan:
             sub, old = g.induced_subgraph(alive)
             try:
                 solver = CactusSolver(sub)
-            except NotACactus:
-                pass
+            except NotACactus as exc:
+                if sub.n > ORACLE_LIMIT:
+                    raise NotACactus(f"{exc}, and the brute-force fallback takes at most "
+                                     f"{ORACLE_LIMIT} vertices, not {sub.n}") from exc
         walk = brute_force_oracle(sub) if solver is None else solver.walk()
         path = tuple(old[i] for i in walk.vertices)
         # the largest neighbor of the walk's end off the walk: one exists,

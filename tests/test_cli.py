@@ -206,6 +206,26 @@ class TestCostAndGen:
         assert capsys.readouterr().err == \
             "error: no walk covers every vertex: the graph is not connected\n"
 
+    # above 16 vertices a non-cactus has no brute-force fallback either,
+    # so the error names the edge on two cycles and that limit
+    @pytest.mark.parametrize("edges", [
+        [[u, v] for u in range(17) for v in range(u + 1, 17)],
+        [[u, v] for u in range(5) for v in range(u + 1, 5)],
+    ], ids=["k17", "k5_isolated12"])
+    def test_large_non_cactus_qft(self, capsys, tmp_path, edges):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 17, "edges": edges}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["qft", "--graph", str(graph)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lies on two cycles" in err and "16 vertices" in err
+
+    def test_k16_qft_falls_back_to_brute_force(self, capsys):
+        assert main(["qft", "--graph", "k16", "--report"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 16
+
     @pytest.mark.parametrize("args", [
         ["hash", "--graph", "fig3"],
         ["cost", "--graph", "line1"],

@@ -3,6 +3,7 @@ weighted vertex-cactus splitting, block trees, the random generator, and
 the strict JSON format."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,30 @@ class TestCactusValidation:
         d = validate_cactus(g)
         assert len(d.membership[0]) == 2
         assert len(d.membership[1]) == 1
+
+
+    @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
+    def test_cycles_are_numbered_by_their_vertices(self, cycle_prob):
+        # each cycle is listed from its least vertex towards the lesser of
+        # its two neighbours there, and the cycles ascend; so removing a
+        # pendant leaves the other cycles' numbering and listings alone.
+        # Each cactus is also taken relabelled, so no DFS order helps
+        for n in range(2, 41):
+            for seed in range(6):
+                base = random_cactus(n, seed, cycle_prob)
+                perm = random.Random(seed).sample(range(n), n)
+                for g in (base, Graph.from_edges(n, [(perm[u], perm[v]) for u, v in base.edges()])):
+                    d = validate_cactus(g)
+                    for cyc in d.cycles:
+                        assert cyc[0] == min(cyc) and cyc[1] < cyc[-1], cyc
+                    assert list(d.cycles) == sorted(d.cycles)
+                    for v in range(n):
+                        if g.degree(v) == 1:
+                            sub, old = g.induced_subgraph(set(range(n)) - {v})
+                            fresh = validate_cactus(sub)
+                            assert [tuple(old[x] for x in cyc) for cyc in fresh.cycles] \
+                                == list(d.cycles)
+                            assert list(fresh.membership) == [d.membership[x] for x in old]
 
 
 class TestVertexCactus:

@@ -107,10 +107,11 @@ class TestOneSolverAcrossStages:
             assert connected_without(g, alive, park)
             alive.remove(park)
 
-    def test_least_survivor_stays_on_the_rebuild_path(self):
-        # here a pendant park is the least survivor while a cycle is left;
-        # removed in place, it would keep a cycle order that the fresh
-        # DFS, starting from another vertex, finds differently
+    def test_least_survivor_park_is_removed_in_place(self):
+        # here a pendant park is the least survivor while a cycle is left.
+        # It is removed in place, and the fresh DFS then starts from
+        # another vertex; the cycles are numbered by their vertices, not
+        # by that DFS, so the kept solver still walks as a fresh one does
         g = random_cactus(43, 28, 0.85)
         assert self.stages(g) == cascade_stages_reference(g)
 
@@ -156,23 +157,18 @@ class TestPendantRemoval:
             assert kept.value[b] is None or kept.value[b] == kept.root(b), b
 
     def remove_pendants(self, g, seed):
-        """Remove pendants in random order while one can be removed in
-        place, checking the tables after each; return how many went."""
+        """Remove pendants in random order, each in place, until none is
+        left, checking the tables after each; return how many went."""
         rng = random.Random(seed)
         solver = CactusSolver(g)
         removed = 0
         while True:
-            alive = [v for v in range(g.n) if v not in solver.removed]
-            pendants = [v for v in alive
-                        if sum(u not in solver.removed for u in g.adjacency[v]) == 1]
-            rng.shuffle(pendants)
-            for v in pendants:
-                if solver.remove_pendant(v):
-                    break
-                # the least vertex left stays while a cycle is left
-                assert v == alive[0] and solver.tvc.cycles
-            else:
+            pendants = [v for v in range(g.n) if v not in solver.removed
+                        and sum(u not in solver.removed for u in g.adjacency[v]) == 1]
+            if not pendants:
                 return removed
+            rng.shuffle(pendants)
+            assert solver.remove_pendant(pendants[0]), pendants[0]
             removed += 1
             self.check_against_fresh(g, solver)
 
@@ -208,6 +204,17 @@ class TestPendantRemoval:
         assert solver.remove_pendant(8)
         solver.walk()
         assert roots == [solver.bt.block_of[0]]
+
+    def test_least_vertex_is_removed_in_place(self):
+        # vertex 0 hangs off a chain of three triangles.  Without it, the
+        # DFS of a fresh build starts at vertex 1, not 0, and meets two of
+        # the triangles at other vertices; the cycles are numbered and
+        # listed by their vertices, so the kept solver's still match
+        g = Graph.from_edges(8, [(0, 5), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3),
+                                 (5, 6), (6, 7), (7, 5)])
+        solver = CactusSolver(g)
+        assert solver.remove_pendant(0)
+        self.check_against_fresh(g, solver)
 
     def test_non_pendant_is_refused(self):
         solver = CactusSolver(line(5))
