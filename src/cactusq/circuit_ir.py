@@ -65,10 +65,6 @@ class Gate:
         elif self.d is not None:
             raise ValueError(f"{self.kind} takes no phase order")
 
-    @property
-    def is_basic(self) -> bool:
-        return self.kind in BASIC_KINDS
-
 
 class Circuit:
     """Ordered gate list over `num_qubits` physical qubits.

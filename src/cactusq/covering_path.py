@@ -1,11 +1,12 @@
 """Shortest non-simple 1-covering walks on cactus graphs.
 
 A walk P 1-covers G when every vertex is on P or adjacent to a vertex of
-P.  `solve_cactus` finds a minimum-length such walk in polynomial time by
-a dynamic program over the block tree of the weighted vertex cactus;
-`CactusSolver` keeps that program up to date as pendant vertices are
-removed, for graphs that shrink a vertex at a time (the QFT stages).
-`brute_force_oracle` is the exponential BFS reference used to validate it.
+P.  `CactusSolver` finds a minimum-length such walk in polynomial time by
+a dynamic program over the block tree of the weighted vertex cactus, and
+keeps its tables up to date as pendant vertices are removed, for graphs
+that shrink a vertex at a time (the QFT stages); `solve_cactus` solves a
+graph once.  `brute_force_oracle` is the exponential BFS reference used
+to validate it.
 Among the shortest covering walks the DP prefers the one with the fewest
 revisits (the most distinct vertices), so it returns a simple walk
 whenever a simple walk is as short as any covering walk.
@@ -21,7 +22,6 @@ from itertools import accumulate, islice
 from operator import add, attrgetter
 
 from .graph_core import (
-    BlockTree,
     Graph,
     NotConnected,
     WeightedVertexCactus,
@@ -188,8 +188,8 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # where a revisit is a step onto a vertex the walk has already visited.
 # The walk's step weights are one pair, `weights = (new, back) = (unit,
 # unit + 1)`: a step out onto a new vertex weighs `new`, a step back onto a
-# visited one weighs `back`.  `_Rerooted` holds the pair and passes it to
-# every step, root scan and bridge.  Every cycle edge of the vertex cactus
+# visited one weighs `back`.  `CactusSolver` holds the pair and passes it
+# to every step, root scan and bridge.  Every cycle edge of the vertex cactus
 # weighs 1, so once around a cycle of t vertices costs (t - 1) * new + back.
 # No candidate walk crosses an edge of the vertex cactus more than twice,
 # so with `unit` above twice its edge count the integers order walks by
@@ -198,19 +198,15 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # are joined only through weight-0 bridges, which the walk has to cross.
 #
 # The tables outlive a solve.  Removing a pendant vertex deletes a leaf
-# block and its bridge (`_Rerooted.remove_leaf`): its contribution is
+# block and its bridge (`CactusSolver.remove_pendant`): its contribution is
 # unfiled from the neighbour's attach position, whose top_at is ranked
 # again from what that position files alone, or goes back to None when no
 # neighbour is left there.  Only the contributions that point away from
 # the leaf can change.  They are recomputed outwards, and a branch stops
 # at the first one whose closed cost, saving and skip come out as before.
-# The tables then equal a fresh build's on the blocks left, except for the
-# fold: the weights are the first build's, and every step, root scan and
-# walk decoding takes them from the tables.  Their `unit` exceeds twice the
-# edge count of every smaller graph too, so it orders walks just as the
-# fresh build's smaller unit does.  A block is scored as a root when a walk
-# first asks, and keeps that score until a drop changes its tables, which
-# every later push into it follows.  A lone cycle is never scored.
+# A block is scored as a root when a walk first asks, and keeps that score
+# until a drop changes its tables, which every later push into it follows.
+# A lone cycle is never scored.
 # ---------------------------------------------------------------------------
 
 
@@ -476,14 +472,40 @@ def _rank(top: list, c: ChildContribution) -> None:
         del top[2:]
 
 
-class _Rerooted:
-    """DP values of every block as seen across each of its bridges.  The
-    two passes start from block `start`; every start gives the same tables.
-    `remove_leaf` keeps them up to date as leaf blocks are deleted.  No
-    root is scored here: `value` memoises `root` for `solve_root_choices`."""
+def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
+    total = 0
+    for a, b in zip(walk, walk[1:]):
+        for nb, wt in tvc.adjacency[a]:
+            if nb == b:
+                total += wt
+                break
+        else:
+            raise AssertionError(f"walk step ({a},{b}) is not an edge of T")
+    return total
 
-    def __init__(self, tvc: WeightedVertexCactus, bt: BlockTree, start: int = 0):
-        self.bt = bt
+
+class CactusSolver:
+    """The covering-walk DP of a connected cactus: the DP values of every
+    block as seen across each of its bridges, built once and kept up to
+    date as pendant vertices are removed.  The two passes start from block
+    `start`; every start gives the same tables.  A block is scored as a
+    root only when `walk` first needs it, and a lone cycle never is.
+
+    After any removals the tables equal a fresh build's on the vertices
+    left.  A pendant removed in place leaves the numbering that build would
+    give, in relative order: vertex ids, copy ids and block ids, and the
+    cycles with their listings and hubs, since `validate_cactus` numbers
+    the cycles by their vertices.  Those orders are the solver's only
+    tie-breaks, so `walk` returns the fresh build's walk.  Only the step
+    weights differ: they stay the first build's.  Their `unit` is larger
+    than a fresh build's and orders any two candidate walks the same way,
+    since every candidate makes fewer revisits than either unit."""
+
+    def __init__(self, g: Graph, start: int = 0):
+        self.g = g
+        self.tvc = tvc = build_vertex_cactus(g, validate_cactus(g))
+        self.bt = bt = build_block_tree(tvc)
+        self.removed: set[int] = set()
         unit = sum(len(a) for a in tvc.adjacency) + 1
         # (new, back): a step onto a new vertex, a step back onto a visited one
         self.weights = (unit, unit + 1)
@@ -573,9 +595,10 @@ class _Rerooted:
             for c in at_p:
                 _rank(tops[p], c)
 
-    def remove_leaf(self, leaf: int) -> None:
-        """Delete leaf block `leaf` and its bridge, and bring the tables of
-        the blocks left to what a fresh build on them would hold.
+    def remove_pendant(self, v: int) -> bool:
+        """Remove vertex v in place if it has one neighbour left; otherwise
+        remove nothing and return False.  Such a v is on no cycle: its
+        block is a leaf, deleted with its bridge.
 
         The leaf's contribution is unfiled from its attach position.  Only
         the contributions that point away from the leaf change.  They are
@@ -583,6 +606,10 @@ class _Rerooted:
         first one whose (closed_cost, saving, skipped) comes out as it
         was: what lies beyond reads nothing else of it.  The leaf is left
         with no top_at, which marks it removed."""
+        if sum(u not in self.removed for u in self.g.adjacency[v]) != 1:
+            return False
+        self.removed.add(v)
+        leaf = self.bt.block_of[v]
         ((attach, gone),) = self.handed[leaf].items()
         p = gone.position
         self._drop(leaf, attach)
@@ -594,10 +621,9 @@ class _Rerooted:
         # bridge set that.  So its neighbour reads only that position p has
         # a neighbour, and if p still has one and the neighbour does not
         # turn into a skipped leaf itself, its tables read as before
-        if (at[p] is not None
-                and (self.bt.blocks[attach][0] == "cycle" or len(self.handed[attach]) > 1)):
-            return
-        queue = [(attach, towards) for towards in self.handed[attach]]
+        kept = at[p] is not None and (self.bt.blocks[attach][0] == "cycle"
+                                      or len(self.handed[attach]) > 1)
+        queue = [] if kept else [(attach, towards) for towards in self.handed[attach]]
         for b, towards in queue:
             c = self.handed[b][towards]
             before = _read_on(c)
@@ -605,6 +631,7 @@ class _Rerooted:
             self._push(b, towards, self.handed[towards][b])
             if _read_on(c) != before:
                 queue += [(towards, other) for other in self.handed[towards] if other != b]
+        return True
 
     def root(self, b: int) -> tuple[int, int]:
         """Block b's least value as the root with both ends free, and the
@@ -612,6 +639,37 @@ class _Rerooted:
         if self.bt.blocks[b][0] == "vertex":
             return self.closed[b] - sum(c.saving for c in self.top_at[b][0] or ()), 0
         return cycle_root(self.top_at[b], self.closed[b], self.weights)
+
+    def walk(self) -> CoveringPath:
+        """Minimum-length 1-covering walk of the vertices left, with the
+        fewest revisits among those; every cost identity is asserted."""
+        g, tvc = self.g, self.tvc
+        new = self.weights[0]
+        if tvc.cycles and not self.handed[0]:
+            # a lone cycle (block 0, the first cycle, with no bridge left):
+            # every vertex but the last two of its listing, the clockwise
+            # arm from position 0 to its tip at depth t - 3
+            t = len(tvc.cycles[0])
+            value, root = (t - 3) * new, 0
+            record = (0, ("chain", t - 3, 0), None, ("armR", t - 3, None))
+        else:
+            value, root, record = solve_root_choices(self)
+        length, revisits = divmod(value, new)
+        # the vertex-cactus walk of the root's record, built without recursion
+        head, rest = self._items(root, None, record)
+        t_walk = self._expand(head)[::-1] + self._expand(rest)
+        assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
+        g_walk: list[int] = []
+        for tv in t_walk:
+            ov = tvc.origin[tv]
+            if not g_walk or g_walk[-1] != ov:
+                g_walk.append(ov)
+        path = CoveringPath.from_vertices(g, g_walk)
+        assert path.length == length, "collapsed walk length drifted"
+        assert path.k - path.k_distinct == revisits, "walk revisit count drifted"
+        assert len(path.covered - self.removed) == g.n - len(self.removed), \
+            "solver produced a non-covering walk"
+        return path
 
     # -- reconstruction ----------------------------------------------------
     # Item lists mix vertices with (free ends, block, up) tokens: walk
@@ -688,99 +746,21 @@ class _Rerooted:
         )
         return head, middle + tail
 
-    def emit_root(self, r: int, record) -> list[int]:
-        """The vertex-cactus walk of root r's record, built without recursion."""
-        head, rest = self._items(r, None, record)
-        return self._expand(head)[::-1] + self._expand(rest)
 
-
-def solve_root_choices(dp: _Rerooted):
+def solve_root_choices(solver: CactusSolver):
     """(folded value, root, record) of the first best root in block order.
-    A block left (its top_at not empty) is scored unless `dp` keeps its
-    score; only the winner runs the step, once, at its first best pivot."""
-    live = [b for b, top_at in enumerate(dp.top_at) if top_at]
+    A block left (its top_at not empty) is scored unless `solver` keeps its
+    score in `value`; only the winner runs the step, once, at its first
+    best pivot."""
+    live = [b for b, top_at in enumerate(solver.top_at) if top_at]
     for b in live:
-        if dp.value[b] is None:
-            dp.value[b] = dp.root(b)
-    root = min(live, key=lambda b: dp.value[b][0])
-    value, pivot = dp.value[root]
-    (check, record), = dp._step(root, None, pivot, (2,))
+        if solver.value[b] is None:
+            solver.value[b] = solver.root(b)
+    root = min(live, key=lambda b: solver.value[b][0])
+    value, pivot = solver.value[root]
+    (check, record), = solver._step(root, None, pivot, (2,))
     assert check == value, "root value drifted from the DP step"
     return value, root, record
-
-
-def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
-    total = 0
-    for a, b in zip(walk, walk[1:]):
-        for nb, wt in tvc.adjacency[a]:
-            if nb == b:
-                total += wt
-                break
-        else:
-            raise AssertionError(f"walk step ({a},{b}) is not an edge of T")
-    return total
-
-
-class CactusSolver:
-    """The covering-walk DP of a connected cactus, built once and kept up
-    to date as pendant vertices are removed from it.  A block is scored as
-    a root only when `walk` first needs it, and a lone cycle never is.
-
-    A pendant removed in place leaves the numbering a fresh build on the
-    vertices left would give, in relative order: vertex ids, copy ids and
-    block ids, and the cycles with their listings and hubs, since
-    `validate_cactus` numbers the cycles by their vertices.  Those orders
-    are the solver's only tie-breaks, so `walk` returns the fresh build's
-    walk.  The step weights stay the first build's.  Their `unit` is
-    larger than a fresh build's and orders any two candidate walks the
-    same way, since every candidate makes fewer revisits than either unit."""
-
-    def __init__(self, g: Graph):
-        decomp = validate_cactus(g)
-        self.g = g
-        self.tvc = build_vertex_cactus(g, decomp)
-        self.bt = build_block_tree(self.tvc)
-        self.dp = _Rerooted(self.tvc, self.bt)
-        self.removed: set[int] = set()
-
-    def remove_pendant(self, v: int) -> bool:
-        """Remove vertex v in place if it has one neighbour left; otherwise
-        remove nothing and return False.  Such a v is on no cycle, so a
-        fresh build finds the same cycles and numbers them the same way."""
-        if sum(u not in self.removed for u in self.g.adjacency[v]) != 1:
-            return False
-        self.removed.add(v)
-        self.dp.remove_leaf(self.bt.block_of[v])
-        return True
-
-    def walk(self) -> CoveringPath:
-        """Minimum-length 1-covering walk of the vertices left, with the
-        fewest revisits among those; every cost identity is asserted."""
-        g, tvc, dp = self.g, self.tvc, self.dp
-        new = dp.weights[0]
-        if tvc.cycles and not dp.handed[0]:
-            # a lone cycle (block 0, the first cycle, with no bridge left):
-            # every vertex but the last two of its listing, the clockwise
-            # arm from position 0 to its tip at depth t - 3
-            t = len(tvc.cycles[0])
-            value, root = (t - 3) * new, 0
-            record = (0, ("chain", t - 3, 0), None, ("armR", t - 3, None))
-        else:
-            value, root, record = solve_root_choices(dp)
-        length, revisits = divmod(value, new)
-        t_walk = dp.emit_root(root, record)
-        assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
-        g_walk: list[int] = []
-        for tv in t_walk:
-            ov = tvc.origin[tv]
-            if not g_walk or g_walk[-1] != ov:
-                g_walk.append(ov)
-        path = CoveringPath.from_vertices(g, g_walk)
-        assert path.length == length, "collapsed walk length drifted"
-        assert path.k - path.k_distinct == revisits, "walk revisit count drifted"
-        assert len(path.covered - self.removed) == g.n - len(self.removed), \
-            "solver produced a non-covering walk"
-        return path
 
 
 def solve_cactus(g: Graph) -> CoveringPath:

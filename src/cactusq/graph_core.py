@@ -60,18 +60,8 @@ class Graph:
             adj[v].add(u)
         return Graph(n, tuple(tuple(sorted(s)) for s in adj))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
-
-    @property
-    def m(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
@@ -190,9 +180,6 @@ class WeightedVertexCactus:
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
     origin: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
-
-    def neighbors(self, t: int) -> tuple[tuple[int, int], ...]:
-        return self.adjacency[t]
 
 
 def build_vertex_cactus(g: Graph, d: CycleDecomposition) -> WeightedVertexCactus:

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random circuits for fidelity tests, a
+"""Shared helpers: test graphs (spiders, and cacti with their vertices
+renamed), seeded random circuits for fidelity tests, a
 one-application-at-a-time reference for the l-fold hashing operator, a
 solve-every-stage-afresh reference for the QFT schedule with a park
 search, and exhaustive searches for shortest simple covering walks and
@@ -10,8 +11,35 @@ from collections import deque
 
 from cactusq.circuit_ir import Circuit, Gate
 from cactusq.covering_path import brute_force_oracle, solve_cactus
-from cactusq.graph_core import NotACactus
+from cactusq.graph_core import Graph, NotACactus
 from cactusq.hash_synth import construct_for_path
+
+
+def spider(legs: int, length: int) -> Graph:
+    """`legs` paths of `length` vertices hanging off vertex 0."""
+    edges = []
+    for leg in range(legs):
+        at = 0
+        for i in range(length):
+            v = 1 + leg * length + i
+            edges.append((at, v))
+            at = v
+    return Graph.from_edges(1 + legs * length, edges)
+
+
+# three legs of length 2 hanging off vertex 0: the shortest covering walk
+# must re-enter the hub, so no simple covering path exists at all
+SPIDER = spider(3, 2)
+
+
+def relabel(g: Graph, seed: int) -> Graph:
+    """g with each vertex v renamed perm[v], for the permutation that
+    `random.Random(seed).shuffle` draws.  `random_cactus` lists every cycle
+    from its least vertex towards its lesser neighbour; renamed, a cycle
+    may run the other way, and `validate_cactus` has to turn it round."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:

@@ -11,42 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fewest_revisits, shortest_simple_covering_walk
+from conftest import SPIDER, fewest_revisits, shortest_simple_covering_walk, spider
 
 from cactusq import covering_path
 from cactusq.covering_path import (
+    CactusSolver,
     CoveringPath,
     TooLarge,
-    _Rerooted,
     brute_force_oracle,
     brute_force_visit_all,
     solve_cactus,
     solve_root_choices,
 )
 from cactusq.families import chain_of_squares, cycle, fig3_cactus, line, star
-from cactusq.graph_core import (
-    Graph,
-    build_block_tree,
-    build_vertex_cactus,
-    random_cactus,
-    validate_cactus,
-)
-
-# three legs of length 2 hanging off vertex 0: the shortest covering walk
-# must re-enter the hub, so no simple covering path exists at all
-SPIDER = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-
-
-def spider(legs, length):
-    """`legs` paths of `length` vertices hanging off vertex 0."""
-    edges = []
-    for leg in range(legs):
-        at = 0
-        for i in range(length):
-            v = 1 + leg * length + i
-            edges.append((at, v))
-            at = v
-    return Graph.from_edges(1 + legs * length, edges)
+from cactusq.graph_core import Graph, random_cactus
 
 
 def cycle_with_pendants(t):
@@ -277,11 +255,9 @@ class TestRerooting:
     ])
     def test_tables_do_not_depend_on_the_start_block(self, n, seed, cycle_prob):
         g = random_cactus(n, seed, cycle_prob)
-        tvc = build_vertex_cactus(g, validate_cactus(g))
-        bt = build_block_tree(tvc)
-        ref = _Rerooted(tvc, bt)
-        for start in range(1, bt.n_blocks):
-            other = _Rerooted(tvc, bt, start)
+        ref = CactusSolver(g)
+        for start in range(1, ref.bt.n_blocks):
+            other = CactusSolver(g, start)
             assert other.handed == ref.handed, start
             assert other.into == ref.into, start
             assert other.top_at == ref.top_at, start
@@ -324,10 +300,8 @@ class TestRootValues:
         for g in self.corpus():
             if g.n < 2:
                 continue
-            tvc = build_vertex_cactus(g, validate_cactus(g))
-            bt = build_block_tree(tvc)
-            dp = _Rerooted(tvc, bt)
-            for b, (kind, verts) in enumerate(bt.blocks):
+            dp = CactusSolver(g)
+            for b, (kind, verts) in enumerate(dp.bt.blocks):
                 step = [dp._step(b, None, p, (2,))[0][0] for p in range(len(verts))]
                 pivot = step.index(min(step))
                 assert dp.root(b) == (min(step), pivot), (g.n, g.edges(), b)
@@ -357,19 +331,17 @@ class TestRootValues:
             step = getattr(covering_path, name)
             monkeypatch.setattr(covering_path, name,
                                 lambda *args, _step=step: calls.append(1) or _step(*args))
-        root = _Rerooted.root
-        monkeypatch.setattr(_Rerooted, "root", lambda dp, b: roots.append(b) or root(dp, b))
+        root = CactusSolver.root
+        monkeypatch.setattr(CactusSolver, "root", lambda dp, b: roots.append(b) or root(dp, b))
         for g in (random_cactus(60, 3), cycle_with_attachments(30, 1), spider(5, 4),
                   cycle_with_pendants(12)):
-            tvc = build_vertex_cactus(g, validate_cactus(g))
-            bt = build_block_tree(tvc)
             calls.clear()
             roots.clear()
-            dp = _Rerooted(tvc, bt)
+            dp = CactusSolver(g)
             assert roots == []
             solve_root_choices(dp)
-            assert len(calls) == 2 * (bt.n_blocks - 1) + 1
-            assert sorted(roots) == list(range(bt.n_blocks))
+            assert len(calls) == 2 * (dp.bt.n_blocks - 1) + 1
+            assert sorted(roots) == list(range(dp.bt.n_blocks))
 
     @pytest.mark.parametrize("t", [3, 4, 5, 60])
     def test_lone_cycle_scores_no_root(self, monkeypatch, t):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cascade_stages_reference, connected_without, shortest_simple_covering_walk
+from conftest import (
+    SPIDER,
+    cascade_stages_reference,
+    connected_without,
+    relabel,
+    shortest_simple_covering_walk,
+    spider,
+)
 
 from cactusq.circuit_ir import Circuit, cnot_cost
 from cactusq.covering_path import CactusSolver
@@ -17,16 +24,6 @@ from cactusq.families import chain_of_squares, complete, cycle, fig3_cactus, lin
 from cactusq.graph_core import Graph, random_cactus
 from cactusq.qft_synth import CascadeRecord, cascade_for_path, construct_s, synthesize_qft
 from cactusq.verify_sim import equiv_up_to_permutation, qft_reference_unitary, unitary_of
-
-SPIDER = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-
-
-def spider(legs, length):
-    """`legs` paths of `length` vertices hanging off vertex 0."""
-    return Graph.from_edges(1 + legs * length, [
-        (1 + leg * length + i - 1 if i else 0, 1 + leg * length + i)
-        for leg in range(legs) for i in range(length)])
-
 
 class TestConstructS:
     @pytest.mark.parametrize(
@@ -80,6 +77,14 @@ class TestOneSolverAcrossStages:
                 g = random_cactus(n, seed, cycle_prob)
                 assert self.stages(g) == cascade_stages_reference(g), (n, seed)
 
+    @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
+    def test_relabelled_cacti_match_the_reference(self, cycle_prob):
+        # on renamed cacti `validate_cactus` turns some cycles round (see `relabel`)
+        for n in range(2, 31):
+            for seed in range(2):
+                g = relabel(random_cactus(n, seed, cycle_prob), seed)
+                assert self.stages(g) == cascade_stages_reference(g), (n, seed)
+
     def test_families_match_the_reference(self):
         graphs = [fig3_cactus(), complete(5)]
         graphs += [f(n) for n in range(2, 25) for f in (line, star)]
@@ -128,7 +133,7 @@ class TestPendantRemoval:
         alive = [v for v in range(g.n) if v not in solver.removed]
         sub, old = g.induced_subgraph(alive)
         fresh = CactusSolver(sub)
-        kept, new = solver.dp, fresh.dp
+        kept, new = solver, fresh
         unit, fresh_unit = kept.weights[0], new.weights[0]
         live = [b for b, top_at in enumerate(kept.top_at) if top_at]
         assert len(live) == fresh.bt.n_blocks
@@ -180,6 +185,16 @@ class TestPendantRemoval:
                 removed += self.remove_pendants(random_cactus(n, seed, cycle_prob), seed)
         assert removed > 100
 
+    @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
+    def test_relabelled_cacti(self, cycle_prob):
+        # on renamed cacti `validate_cactus` turns some cycles round (see `relabel`)
+        removed = 0
+        for n in range(2, 31):
+            for seed in range(2):
+                g = relabel(random_cactus(n, seed, cycle_prob), seed)
+                removed += self.remove_pendants(g, seed)
+        assert removed > 50
+
     def test_families(self):
         # the last two: a 4-cycle and a 9-cycle with a path of two on
         # every vertex, so the cycle's arms lose their neighbours one by one
@@ -197,8 +212,8 @@ class TestPendantRemoval:
         solver = CactusSolver(star(9))
         solver.walk()
         roots = []
-        root = type(solver.dp).root
-        monkeypatch.setattr(type(solver.dp), "root", lambda dp, b: roots.append(b) or root(dp, b))
+        root = CactusSolver.root
+        monkeypatch.setattr(CactusSolver, "root", lambda dp, b: roots.append(b) or root(dp, b))
         solver.walk()
         assert roots == []
         assert solver.remove_pendant(8)
