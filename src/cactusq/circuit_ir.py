@@ -121,9 +121,6 @@ class Circuit:
     def count(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     def __repr__(self) -> str:
         return f"Circuit(num_qubits={self.num_qubits}, gates={len(self.gates)})"
 

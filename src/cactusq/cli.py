@@ -292,10 +292,12 @@ def qft_cmd(graph_spec, emit, report_flag, out) -> None:
     _emit_and_report(circuit, _qft_report(rep), emit, report_flag, out)
 
 
-def _default_hash_params(n: int, p: int, epsilon: float) -> HashParams:
+def _default_hash_params(n: int, p: int) -> HashParams:
+    """One coefficient per control, cycling through 1..p-1.  Epsilon sets
+    only `HashParams.t`, which neither `verify` nor `cost` prints."""
     # a generator: from_coefficients checks p before the k_j are drawn
     ks = ((j - 1) % (p - 1) + 1 for j in range(1, n))
-    return HashParams.from_coefficients(p, epsilon, ks)
+    return HashParams.from_coefficients(p, 0.25, ks)
 
 
 @cli.command(name="verify")
@@ -303,16 +305,15 @@ def _default_hash_params(n: int, p: int, epsilon: float) -> HashParams:
 @click.option("--what", type=click.Choice(["hash", "qft"]), required=True)
 @click.option("--l", "l", default=1, type=int, show_default=True, help="fold count (hash)")
 @click.option("--p", default=17, type=int, show_default=True, help="modulus for hash angles")
-@click.option("--epsilon", default=0.25, type=float, show_default=True)
 @_guarded
-def verify_cmd(graph_spec, what, l, p, epsilon) -> None:
+def verify_cmd(graph_spec, what, l, p) -> None:
     """Simulate the synthesized circuit against the unconstrained reference."""
     g = _resolve_graph(graph_spec)
     if g.n > MAX_QUBITS:
         raise TooManyQubits(f"verification simulates densely; {g.n} > {MAX_QUBITS} qubits")
     if what == "hash":
         _check_folds(l)
-        params = _default_hash_params(g.n, p, epsilon)
+        params = _default_hash_params(g.n, p)
         result = synthesize_hash(g, l, params)
         circuit = result.circuit
         reference = unitary_of(
@@ -338,17 +339,16 @@ def verify_cmd(graph_spec, what, l, p, epsilon) -> None:
 @cli.command(name="cost")
 @click.option("--graph", "graph_spec", required=True, help="graph file or family name")
 @click.option("--l", "l", default=1, type=int, show_default=True, help="fold count (hash)")
-@click.option("--p", default=17, type=int, show_default=True)
-@click.option("--epsilon", default=0.25, type=float, show_default=True)
 @_guarded
-def cost_cmd(graph_spec, l, p, epsilon) -> None:
-    """Print the formula checks for both syntheses without emitting circuits."""
+def cost_cmd(graph_spec, l) -> None:
+    """Print the formula checks for both syntheses without emitting circuits.
+    The hash angles take modulus 17; no CNOT count depends on them."""
     g = _resolve_graph(graph_spec)
     _check_folds(l)
     n = g.n
     out: dict = {"n": n}
     if n >= 2:
-        result = synthesize_hash(g, l, _default_hash_params(n, p, epsilon))
+        result = synthesize_hash(g, l, _default_hash_params(n, 17))
         walk = result.path
         out["path"] = {
             **_walk_fields(walk),

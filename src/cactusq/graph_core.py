@@ -335,9 +335,3 @@ def load_graph(path: str, max_n: int | None = None) -> Graph:
         except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise GraphFormatError(f"invalid JSON: {exc}") from exc
     return graph_from_json_dict(data, max_n)
-
-
-def dump_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(graph_to_json_dict(g), sort_keys=True))
-        fh.write("\n")

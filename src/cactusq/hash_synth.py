@@ -114,45 +114,46 @@ def _angle_of(angles, g: Graph, target: int):
     return dict(zip((v for v in range(g.n) if v != target), angles)).__getitem__
 
 
-def target_walk(g: Graph, verts, controls: set[int], descending: bool,
-                gate) -> tuple[list[Gate], set[int]]:
-    """Walk the target from verts[0] along `verts`, firing each control once.
+def target_walk(circuit: Circuit, verts, controls: set[int], descending: bool,
+                gate) -> set[int]:
+    """Walk the target from verts[0] along `verts` on `circuit.device`,
+    firing each control once, and append each gate to `circuit`.
 
     At each walk vertex its neighbors in `controls` that are off the walk
     and have not fired yet fire in ascending order (descending when
     `descending`); then the next walk vertex fires, unless it already has,
     and a SWAP moves the target onto it (the pair fuses when lowered).
     The start vertex holds the target and never fires.  `gate(u, at)`
-    builds control u's gate onto the target at `at`.  Returns the gates and
-    the set of vertices fired.
+    builds control u's gate onto the target at `at`.  Returns the set of
+    vertices fired.
     """
     start = verts[0]
+    adjacency = circuit.device.adjacency
     pending = controls - set(verts)  # off-walk controls yet to fire
-    gates: list[Gate] = []
     fired: set[int] = set()
     for at, nxt in zip_longest(verts, verts[1:]):
-        nbrs = g.adjacency[at]
+        nbrs = adjacency[at]
         for u in (nbrs[::-1] if descending else nbrs):
             if u in pending:
-                gates.append(gate(u, at))
+                circuit.append(gate(u, at))
                 fired.add(u)
                 pending.remove(u)
         if nxt is None:
             break
         if nxt != start and nxt not in fired:
-            gates.append(gate(nxt, at))
+            circuit.append(gate(nxt, at))
             fired.add(nxt)
-        gates.append(Gate("SWAP", (at, nxt)))
-    return gates, fired
+        circuit.append(Gate("SWAP", (at, nxt)))
+    return fired
 
 
 def construct_for_path(g: Graph, path, angles, direction: str = "forward") -> Circuit:
     """One application of the hashing operator along a covering path, as a
     new circuit on device g.
 
-    The target walks the path (`target_walk`) firing a CRy from every other
-    qubit once.  `reverse` walks the path backward with descending neighbor
-    order.
+    The target walks the path (`target_walk`, which writes into that
+    circuit) firing a CRy from every other qubit once.  `reverse` walks the
+    path backward with descending neighbor order.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
@@ -161,10 +162,9 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward") -> Ci
         verts.reverse()
     start = verts[0]
     ang = _angle_of(angles, g, start)
-    gates, fired = target_walk(g, verts, set(range(g.n)), direction == "reverse",
-                               lambda u, at: Gate("CRy", (u, at), theta=ang(u)))
     c = Circuit(g.n, device=g)
-    c.extend(gates)
+    fired = target_walk(c, verts, set(range(g.n)), direction == "reverse",
+                        lambda u, at: Gate("CRy", (u, at), theta=ang(u)))
     missed = set(range(g.n)) - fired - {start}
     if missed:
         raise PathNotCovering(f"vertices never reached as controls: {sorted(missed)}")
@@ -190,8 +190,7 @@ def _append_merged(c: Circuit, gates: list[Gate]) -> None:
     c.extend(gates)
 
 
-def _fold_applications(g: Graph, path: CoveringPath, angles, l: int,
-                       circuit: Circuit) -> None:
+def _fold_applications(path: CoveringPath, angles, l: int, circuit: Circuit) -> None:
     """Append l applications to `circuit`, alternating forward/reverse, each
     merged into the last at its seam (`_append_merged`).
 
@@ -202,10 +201,11 @@ def _fold_applications(g: Graph, path: CoveringPath, angles, l: int,
     walk first disturbs its vertex, so that table is exact).  A reverse
     application undoes the forward one's SWAPs, so application i repeats
     application i % 2: `construct_for_path` builds the forward one at i = 0
-    and the reverse one at i = 1, each on a circuit of its own, and every
-    application appends `built[i % 2]` through `Circuit.append`'s checks.
-    Only a merged seam rotation is a new gate.
+    and the reverse one at i = 1, each on a circuit of its own on
+    `circuit.device`, and every application appends `built[i % 2]` through
+    `Circuit.append`'s checks.  Only a merged seam rotation is a new gate.
     """
+    g = circuit.device
     target = path.vertices[0]
     per_logical = _angle_of(angles, g, target)
     built: list[list[Gate]] = []
@@ -229,7 +229,7 @@ def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult
     _check_per_control(g, len(params.angles))
     path = solve_cactus(g)
     circuit = Circuit(g.n, device=g)
-    _fold_applications(g, path, params.angles, l, circuit)
+    _fold_applications(path, params.angles, l, circuit)
     cost = CostReport(
         cnot_count=cnot_cost(circuit),
         formula_value=theorem1_cost(g.n, path.k, path.k_distinct, l),
@@ -336,7 +336,7 @@ def build_modp_automaton(g: Graph, l: int, params: HashParams) -> Circuit:
     circuit = Circuit(g.n, device=g)
     for v in controls:
         circuit.h(v)
-    _fold_applications(g, path, params.angles, l, circuit)
+    _fold_applications(path, params.angles, l, circuit)
     final = circuit.final_permutation
     for v in controls:
         circuit.h(final[v])

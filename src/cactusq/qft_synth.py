@@ -17,10 +17,11 @@ The final labels make every cascade a textbook QFT cascade in label
 space: cascade r applies H to the label-r qubit and a controlled phase of
 order (label - r + 1) from each qubit labelled above r.
 `cascade_for_path` reads the labels off the layout of the circuit it
-appends to, and emits one cascade as an H on the target and the hashing
-walk (`hash_synth.target_walk`) with controlled phases along the path and
-on to the park, its last step: the park fires as that step's target and
-the SWAP parks the target there.
+appends to, and emits one cascade into it as an H on the target and the
+hashing walk (`hash_synth.target_walk`, which reads the device from that
+circuit and writes into it) with controlled phases along the path and on
+to the park, its last step: the park fires as that step's target and the
+SWAP parks the target there.
 """
 
 from __future__ import annotations
@@ -111,12 +112,12 @@ def construct_s(g: Graph) -> CascadePlan:
     return CascadePlan(S=tuple(labels), A=tuple(occ), cascades=tuple(records))
 
 
-def cascade_for_path(g: Graph, record: CascadeRecord, circuit: Circuit,
+def cascade_for_path(record: CascadeRecord, circuit: Circuit,
                      labels: tuple[int, ...]) -> Circuit:
     """Append cascade `record.r` to `circuit` and return it: H on the
-    target, then `target_walk` with CRd gates along the path and on to the
-    park, so the park fires as the last step's target and that step's SWAP
-    parks the target.
+    target, then `target_walk` on `circuit.device`, writing CRd gates into
+    `circuit` along the path and on to the park, so the park fires as the
+    last step's target and that step's SWAP parks the target.
 
     `labels[q]` is the cascade number of qubit q (`CascadePlan.S`), and
     `circuit` must hold the earlier cascades, since each vertex's label is
@@ -128,10 +129,9 @@ def cascade_for_path(g: Graph, record: CascadeRecord, circuit: Circuit,
     label = {pos[q]: s for q, s in enumerate(labels) if s >= r}
     assert label.get(path[0]) == r, "the target does not carry its cascade's label"
     steps = path if park is None else path + (park,)
-    gates, fired = target_walk(g, steps, label.keys(), False,
-                               lambda u, at: Gate("CRd", (u, at), d=label[u] - r + 1))
     circuit.h(path[0])
-    circuit.extend(gates)
+    fired = target_walk(circuit, steps, label.keys(), False,
+                        lambda u, at: Gate("CRd", (u, at), d=label[u] - r + 1))
     assert fired | {path[0]} == label.keys(), "a control was never reached"
     return circuit
 
@@ -151,7 +151,7 @@ def synthesize_qft(g: Graph) -> tuple[Circuit, CostReport]:
     plan = construct_s(g)
     circuit = Circuit(n, device=g)
     for rec in plan.cascades:
-        cascade_for_path(g, rec, circuit, plan.S)
+        cascade_for_path(rec, circuit, plan.S)
     final = circuit.final_permutation
     for v in range(n):
         assert final[plan.A[v]] == v, "layout trace drifted from the plan"

@@ -36,7 +36,7 @@ from .hash_synth import build_modp_automaton
 
 MAX_QUBITS = 12
 
-# largest entry-wise deviation is_unitary and equiv_up_to_permutation accept
+# largest entry-wise deviation equiv_up_to_permutation accepts
 TOL = 1e-9
 
 # entries of v compared per block of columns in equiv_up_to_permutation
@@ -172,11 +172,6 @@ def unitary_of(c: Circuit) -> np.ndarray:
     # axis[q], at row weight 2^(n - 1 - axis[q])
     _gather_rows(mat, permutation_vector([n - 1 - a for a in axis], n).tolist())
     return mat
-
-
-def is_unitary(u: np.ndarray) -> bool:
-    dim = u.shape[0]
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= TOL)
 
 
 def permutation_vector(perm, n: int) -> np.ndarray:

@@ -226,7 +226,7 @@ def test_criterion_09_qft_cost_bounds(corpus):
             share = 2 * (len(survivors) - 1) + len(rec.path)
             revisits = len(rec.path) - len(set(rec.path))
             before = cnot_cost(circuit)
-            cascade_for_path(g, rec, circuit, plan.S)
+            cascade_for_path(rec, circuit, plan.S)
             if cnot_cost(circuit) - before != share + 2 * revisits:
                 stage_off += 1
             if revisits:

@@ -2,7 +2,9 @@
 family values, solver-vs-oracle equality on random cacti, on hard
 families and on single large cycles, the 2n-3 length bound, the
 tie-break towards the fewest revisits, block trees deeper than the
-recursion limit, and digests that pin every walk of two fixed corpora."""
+recursion limit, invariants that hold at any n (renaming, dropping an
+end, adding a pendant on the walk), and digests that pin every walk of
+two fixed corpora."""
 
 import hashlib
 import random
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPIDER, fewest_revisits, shortest_simple_covering_walk, spider
+from conftest import SPIDER, fewest_revisits, relabel, shortest_simple_covering_walk, spider
 
 from cactusq import covering_path
 from cactusq.covering_path import (
@@ -387,6 +389,45 @@ class TestSolverPrefersSimpleWalks:
                 assert p.k == len(simple) and p.k == p.k_distinct, (n, seed, p.vertices)
             assert p.k - p.k_distinct == fewest_revisits(g, p.k), (n, seed, p.vertices)
         assert simple_cases > 0
+
+
+class TestInvariantsAtAnyN:
+    # checks that need no oracle, so they hold at any n: 54 seeded cacti
+    # of 20 to 2000 vertices with few, middling and many cycles
+    CASES = [(n, p) for n in (20, 50, 200, 500, 1000, 2000) for p in (0.2, 0.45, 0.85)]
+
+    @staticmethod
+    def signature(walk):
+        return walk.length, walk.k - walk.k_distinct
+
+    @pytest.mark.parametrize("n, cycle_prob", CASES)
+    def test_renaming_keeps_length_and_revisits(self, n, cycle_prob):
+        for seed in range(3):
+            g = random_cactus(n, seed, cycle_prob)
+            renamed = relabel(g, seed)
+            assert self.signature(solve_cactus(renamed)) == self.signature(solve_cactus(g)), seed
+
+    @pytest.mark.parametrize("n, cycle_prob", CASES)
+    def test_no_end_can_be_dropped(self, n, cycle_prob):
+        # a shortest covering walk needs both its ends
+        for seed in range(3):
+            g = random_cactus(n, seed, cycle_prob)
+            verts = solve_cactus(g).vertices
+            if len(verts) < 2:
+                continue
+            for part in (verts[1:], verts[:-1]):
+                assert not CoveringPath.from_vertices(g, part).is_covering(g), seed
+
+    @pytest.mark.parametrize("n, cycle_prob", CASES)
+    def test_pendant_on_the_walk_keeps_length_and_revisits(self, n, cycle_prob):
+        # the walk still covers the graph with a new leaf on one of its
+        # vertices, and a walk through the leaf is never shortest
+        for seed in range(3):
+            g = random_cactus(n, seed, cycle_prob)
+            walk = solve_cactus(g)
+            at = random.Random(seed).choice(walk.vertices)
+            grown = Graph.from_edges(g.n + 1, [*g.edges(), (at, g.n)])
+            assert self.signature(solve_cactus(grown)) == self.signature(walk), (seed, at)
 
 
 class TestPinnedWalks:

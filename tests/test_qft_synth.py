@@ -18,7 +18,7 @@ from conftest import (
     spider,
 )
 
-from cactusq.circuit_ir import Circuit, cnot_cost
+from cactusq.circuit_ir import Circuit
 from cactusq.covering_path import CactusSolver
 from cactusq.families import chain_of_squares, complete, cycle, fig3_cactus, line, star
 from cactusq.graph_core import Graph, random_cactus
@@ -247,13 +247,13 @@ class TestCascadeForPath:
         c = Circuit(g.n, device=g)
         for rec in plan.cascades:
             start = len(c.gates)
-            cascade_for_path(g, rec, c, plan.S)
+            cascade_for_path(rec, c, plan.S)
             yield rec, c.gates[start:]
 
     def test_line3_first_cascade(self):
         g = line(3)
         plan = construct_s(g)
-        frag = cascade_for_path(g, plan.cascades[0], Circuit(g.n, device=g), plan.S)
+        frag = cascade_for_path(plan.cascades[0], Circuit(g.n, device=g), plan.S)
         kinds = [gg.kind for gg in frag.gates]
         # H at the target, one neighbor fired in place, then the step onto
         # the park: its rotation fused with the SWAP
@@ -275,14 +275,14 @@ class TestCascadeForPath:
         g = line(5)
         plan = construct_s(g)
         with pytest.raises(AssertionError, match="label"):
-            cascade_for_path(g, plan.cascades[1], Circuit(g.n, device=g), plan.S)
+            cascade_for_path(plan.cascades[1], Circuit(g.n, device=g), plan.S)
 
     def test_park_on_the_walk_fired_as_a_step(self):
         # the park is the walk's last step, so one the walk already fired
         # gets a bare SWAP
         g = cycle(4)
         rec = CascadeRecord(r=1, path=(0, 1, 2), park=1)
-        c = cascade_for_path(g, rec, Circuit(g.n, device=g), (1, 2, 3, 4))
+        c = cascade_for_path(rec, Circuit(g.n, device=g), (1, 2, 3, 4))
         assert [(gg.kind, gg.qubits, gg.d) for gg in c.gates] == [
             ("H", (0,), None),
             ("CRd", (3, 0), 4),
@@ -297,7 +297,7 @@ class TestCascadeForPath:
         # the target's start vertex never fires, however often it is passed
         g = line(4)
         rec = CascadeRecord(r=1, path=(1, 0, 1, 2), park=3)
-        c = cascade_for_path(g, rec, Circuit(g.n, device=g), (2, 1, 3, 4))
+        c = cascade_for_path(rec, Circuit(g.n, device=g), (2, 1, 3, 4))
         assert sorted(gg.qubits[0] for gg in c.gates if gg.kind == "CRd") == [0, 2, 3]
 
 

@@ -22,7 +22,6 @@ from cactusq.verify_sim import (
     MAX_QUBITS,
     TooManyQubits,
     equiv_up_to_permutation,
-    is_unitary,
     gate_matrix,
     modp_accept_probability,
     permutation_vector,
@@ -207,7 +206,8 @@ class TestSimulator:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 100))
     def test_output_is_unitary(self, n, seed):
-        assert is_unitary(unitary_of(random_circuit(n, seed)))
+        u = unitary_of(random_circuit(n, seed))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= verify_sim.TOL
 
     @staticmethod
     def reshaped_view(c):
