@@ -38,7 +38,7 @@ class DeviceViolation(Exception):
     """A two-qubit gate was placed on non-adjacent physical qubits."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate application; two-qubit `qubits` are (control, target)."""
 

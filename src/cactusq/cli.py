@@ -5,8 +5,8 @@ l-fold hashing operator), `qft` (synthesize the QFT circuit), `verify`
 (simulate and compare against the unconstrained reference), `cost`
 (print all formula checks without emitting circuits), and `gen` (write a
 seeded random cactus).  Machine-readable JSON goes to stdout, diagnostics
-to stderr.  Exit codes: 0 success, 1 validation or usage error (one
-`error:` line), 2 internal assertion failure.
+to stderr.  Exit codes, all set by `main`: 0 success, 1 validation or
+usage error (one `error:` line), 2 internal assertion failure.
 
 `--graph` accepts a JSON file ({"n": int, "edges": [[u, v], ...]}) or,
 when no such file exists, a bundled family name: fig3, lineN, cycleN,
@@ -17,7 +17,6 @@ of more than MAX_VERTICES vertices is refused before it is built.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -140,21 +139,6 @@ def _emit_and_report(circuit: Circuit, report: dict, emit, report_flag, out) -> 
         _print_json(report)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except AssertionError as exc:
-            click.echo(f"internal error: {exc}", err=True)
-            sys.exit(2)
-        except _VALIDATION_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
 @click.group()
 def cli() -> None:
     """Covering-path circuit synthesis for cactus-connected devices."""
@@ -163,7 +147,6 @@ def cli() -> None:
 @cli.command(name="path")
 @click.option("--graph", "graph_spec", required=True, help="graph file or family name")
 @click.option("--out", default=None, help="write JSON here instead of stdout")
-@_guarded
 def path_cmd(graph_spec: str, out: str | None) -> None:
     """Solve the shortest 1-covering path on a cactus."""
     g = _resolve_graph(graph_spec)
@@ -175,7 +158,6 @@ def path_cmd(graph_spec: str, out: str | None) -> None:
 @click.option("--n", "n", required=True, type=int, help="vertex count")
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", default=None, help="write JSON here instead of stdout")
-@_guarded
 def gen_cmd(n: int, seed: int, out: str | None) -> None:
     """Generate a seeded random cactus as graph JSON."""
     if n < 1:
@@ -242,7 +224,6 @@ def _hash_report(g: Graph, l: int, result, params: HashParams, seed: int) -> dic
 @click.option("--emit", type=click.Choice(["qasm", "json"]), default=None)
 @click.option("--report", "report_flag", is_flag=True, help="print the cost report")
 @click.option("--out", default=None, help="write the emitted circuit here")
-@_guarded
 def hash_cmd(graph_spec, l, p, epsilon, seed, emit, report_flag, out) -> None:
     """Synthesize the merged l-fold hashing operator."""
     g = _resolve_graph(graph_spec)
@@ -284,7 +265,6 @@ def _qft_report(rep: CostReport) -> dict:
 @click.option("--emit", type=click.Choice(["qasm", "json"]), default=None)
 @click.option("--report", "report_flag", is_flag=True, help="print the cost report")
 @click.option("--out", default=None, help="write the emitted circuit here")
-@_guarded
 def qft_cmd(graph_spec, emit, report_flag, out) -> None:
     """Synthesize the QFT circuit by cascades of covering paths."""
     g = _resolve_graph(graph_spec)
@@ -303,17 +283,19 @@ def _default_hash_params(n: int, p: int) -> HashParams:
 @cli.command(name="verify")
 @click.option("--graph", "graph_spec", required=True, help="graph file or family name")
 @click.option("--what", type=click.Choice(["hash", "qft"]), required=True)
-@click.option("--l", "l", default=1, type=int, show_default=True, help="fold count (hash)")
-@click.option("--p", default=17, type=int, show_default=True, help="modulus for hash angles")
-@_guarded
+@click.option("--l", "l", type=int, help="fold count (hash only, default 1)")
+@click.option("--p", type=int, help="modulus for hash angles (hash only, default 17)")
 def verify_cmd(graph_spec, what, l, p) -> None:
     """Simulate the synthesized circuit against the unconstrained reference."""
+    if what == "qft" and (l is not None or p is not None):
+        raise ValueError("--l and --p apply to --what hash only")
     g = _resolve_graph(graph_spec)
     if g.n > MAX_QUBITS:
         raise TooManyQubits(f"verification simulates densely; {g.n} > {MAX_QUBITS} qubits")
     if what == "hash":
+        l = 1 if l is None else l
         _check_folds(l)
-        params = _default_hash_params(g.n, p)
+        params = _default_hash_params(g.n, 17 if p is None else p)
         result = synthesize_hash(g, l, params)
         circuit = result.circuit
         reference = unitary_of(
@@ -339,7 +321,6 @@ def verify_cmd(graph_spec, what, l, p) -> None:
 @cli.command(name="cost")
 @click.option("--graph", "graph_spec", required=True, help="graph file or family name")
 @click.option("--l", "l", default=1, type=int, show_default=True, help="fold count (hash)")
-@_guarded
 def cost_cmd(graph_spec, l) -> None:
     """Print the formula checks for both syntheses without emitting circuits.
     The hash angles take modulus 17; no CNOT count depends on them."""
@@ -382,6 +363,12 @@ def main(argv=None):
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(1)
     except click.Abort:
+        sys.exit(1)
+    except AssertionError as exc:
+        click.echo(f"internal error: {exc}", err=True)
+        sys.exit(2)
+    except _VALIDATION_ERRORS as exc:
+        click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     return 0
 

@@ -169,11 +169,12 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # Every record has one shape, (pivot, mode, end1, end2).  The mode is
 # ("vertex",), ("perim",) (once around the cycle) or ("chain", a, b) (the
 # clockwise and counter-clockwise arms from the pivot, `_arms`, walked to
-# depths a and b; the cycle edge between their tips is left unwalked).  An
-# end is None, ("child", block) (the walk ends inside a child at the
-# pivot) or ("armR"|"armL", depth, child) (the walk ends on an arm, or in a
-# child hanging there).  The walk runs from end1 through the pivot to end2;
-# with fewer than 2 free ends, end1 (then end2) is pinned to the pivot.
+# depths a and b; the s = t - 1 - a - b positions between their tips are
+# left out).  An end is None, ("child", block) (the walk ends inside a
+# child at the pivot) or ("armR"|"armL", depth, child) (the walk ends on
+# an arm, or in a child hanging there).  The walk runs from end1 through
+# the pivot to end2; with fewer than 2 free ends, end1 (then end2) is
+# pinned to the pivot.
 # Emission turns a record into items, popped off an explicit stack (a
 # vertex, or a neighbouring block to walk with 0 or 1 free ends), so the
 # depth of the block tree does not matter.  One walker decodes every arm
@@ -282,15 +283,14 @@ def _arms(seq: list, entry: int) -> tuple[list, list]:
 def _arm_table(arm: list, back: int):
     """Per depth d = 0..len(arm) - 1 of `arm`, the top_at entries of a
     cycle arm from the pivot at depth 0 on: the saving of the best end of
-    walk within depth d, where that end leaves the arm (None at the tip,
-    else (depth i, child)), and the depth of the deepest vertex within d
-    that must be visited (one with neighbours, its entry not None).
+    walk within depth d, and where that end leaves the arm (None at the
+    tip, else (depth i, child)).
 
     Ending at depth i saves i steps back of weight `back`, plus the
     child's saving when the walk ends inside one.  A tie goes to the tip,
     then to the shallower vertex, then to the earlier child.
     """
-    saving, src, deep = [0], [None], [0]
+    saving, src = [0], [None]
     best, best_src, tip = -1, None, 0
     for d, top in enumerate(islice(arm, 1, None), 1):
         tip += back
@@ -298,8 +298,7 @@ def _arm_table(arm: list, back: int):
             best, best_src = tip + top[0].saving, (d, top[0].block)
         saving.append(best if best > tip else tip)
         src.append(best_src if best > tip else None)
-        deep.append(deep[-1] if top is None else d)
-    return saving, src, deep
+    return saving, src
 
 
 def _arm_end(name: str, saving: list, src: list, d: int):
@@ -307,12 +306,6 @@ def _arm_end(name: str, saving: list, src: list, d: int):
     if d == 0:
         return None
     return saving[d], (name, d, None) if src[d] is None else (name, *src[d])
-
-
-# (right, left) arm depths short of the arm lengths, in candidate order
-# (right depth ascending, then left); the shorter arm may stop one vertex
-# early only when the other walks its whole length
-_SHORTFALLS = ((2, 0), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
 
 
 def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
@@ -323,12 +316,12 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
     largest first, or is None when p has no neighbours; `closed` is the
     children's round trips.  `at_entry` holds the walk-end options
     (saving, end) at the pivot, less the neighbour the block is seen from.
-    Candidates: walk the full perimeter, or pick one cycle edge to leave
-    unwalked and treat the rest as a chain with two arms (the walk may
-    stop one or two vertices short of an arm tip when adjacency still
-    covers the rest).  Each arm holds at most one free end and the pivot's
-    children the rest.  Values are folded with the step `weights`, (new,
-    back) (see above).
+    Candidates: walk the full perimeter, or a chain of two arms from the
+    pivot, the clockwise one to depth a and the other to depth b, that
+    leaves out the s = 0, 1 or 2 positions between their tips; a left-out
+    position must have no neighbours, so adjacency covers it.  Each arm
+    holds at most one free end and the pivot's children the rest.  Values
+    are folded with the step `weights`, (new, back) (see above).
     Returns [(value, record)] for each free-end count in `ends`, each the
     first strict minimum in candidate order.
     """
@@ -336,8 +329,15 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
     new, back = weights
     step = new + back
     right, left = _arms(top_at, entry)
-    sav_r, src_r, deep_r = _arm_table(right, back)
-    sav_l, src_l, deep_l = _arm_table(left, back)
+    sav_r, src_r = _arm_table(right, back)
+    sav_l, src_l = _arm_table(left, back)
+    # room[a]: how many positions in a row after depth a of the clockwise
+    # arm have no neighbours, at most 2 and none past the arm's end; a
+    # chain whose clockwise tip is at depth a may leave out up to that many
+    room = [0] * t
+    for d in range(t - 2, -1, -1):
+        if right[d + 1] is None:
+            room[d] = 2 if room[d + 1] else 1
     e0 = at_entry[0][0] if at_entry else 0
     e1 = at_entry[1][0] if len(at_entry) > 1 else 0
     # the first minimum for 0, 1 and 2 free ends: value and arm depths
@@ -345,16 +345,20 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
     v0 = (t - 1) * new + back + closed
     v1, v2 = v0 - e0, v0 - e0 - e1
     w0 = w1 = w2 = None
-    for j in range(t):
-        # edge (j, j + 1) unwalked: the right arm runs to j, the left arm
-        # back round to j + 1
-        m_r = (j - entry) % t
-        m_l = t - 1 - m_r
-        free_r, free_l = m_r - deep_r[m_r], m_l - deep_l[m_l]
-        for short_r, short_l in _SHORTFALLS:
-            if short_r > free_r or short_l > free_l:
-                continue
-            a, b = m_r - short_r, m_l - short_l
+    # Each chain is met once, by the position j of its clockwise tip and
+    # then its run of s <= room[a] left-out positions, the longest first.
+    # A run that holds position 0 is met first, its tip at t - 2 or t - 1
+    # read as j = -2 or -1 (so the slice keeps only s = 2 at j = -2 and
+    # s >= 1 at j = -1); j = t - 2 or t - 1 meets it again, and a repeat
+    # never wins a strict minimum.  A chain leaves its s + 1 edges
+    # (i, i + 1 mod t) unwalked, and this order is that of its least such
+    # i, so the walk kept is the one a loop over unwalked edges keeps: that
+    # loop meets a chain at each of its edges, with the same value and
+    # record each time.
+    for j in range(-2, t):
+        a = (j - entry) % t
+        for s in (2, 1, 0)[2 - room[a]:j + 3]:
+            b = t - 1 - a - s
             value = closed + (a + b) * step
             if value < v0:
                 v0, w0 = value, (a, b)
@@ -382,20 +386,20 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
 
 
 # A cycle root has both ends free, and then a walk's saving depends on
-# where its ends are, not on the pivot.  Every candidate of `dp_cycle` walks
-# an arc out and back at `step` per arc edge: the cycle less the edge into
-# position r, or less a run of s = 1 or 2 neighbourless positions from r
-# (`_SHORTFALLS`), so the arc runs from r + s round to r - 1.  Ends at arc
-# positions u before w save their distance along the arc times `back`, plus
-# c(u) + c(w), c the best child saving at a position (0 if none); both
-# ends in the children of one position p save d(p), its two best child
-# savings summed.  A pivot p scores a pair only when it lies on the arc
-# from u to w, so the first pivot to reach a pair is u, or 0 when the walk
-# from u to w crosses t - 1 -> 0, and a double end at p is reached from p.
-# Folded as saving * t - pivot, one maximum gives both the least value and
-# its first pivot.  The fold splits into a share per end, so each arc reads
-# its best pair from prefix and suffix tables over the t positions, and a
-# block costs O(t).
+# where its ends are, not on the pivot.  Every candidate of `dp_cycle`
+# walks an arc out and back at `step` per arc edge: the cycle less the
+# edge into position r, or less the run of s = 1 or 2 neighbourless
+# positions from r that its chain leaves out, so the arc runs from r + s
+# round to r - 1.  Ends at arc positions u before w save their distance
+# along the arc times `back`, plus c(u) + c(w), c the best child saving at
+# a position (0 if none); both ends in the children of one position p save
+# d(p), its two best child savings summed.  A pivot p scores a pair only
+# when it lies on the arc from u to w, so the first pivot to reach a pair
+# is u, or 0 when the walk from u to w crosses t - 1 -> 0, and a double
+# end at p is reached from p.  Folded as saving * t - pivot, one maximum
+# gives both the least value and its first pivot.  The fold splits into a
+# share per end, so each arc reads its best pair from prefix and suffix
+# tables over the t positions, and a block costs O(t).
 
 # stands for the best of no pairs at all
 _NO_PAIR = float("-inf")

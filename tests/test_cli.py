@@ -226,6 +226,18 @@ class TestCostAndGen:
         assert main(["qft", "--graph", "k16", "--report"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 16
 
+    def test_failed_assert_exits_two(self, capsys, monkeypatch):
+        # an assert that fails under any subcommand is an internal error:
+        # exit 2 with one line
+        def drifted(g):
+            raise AssertionError("walk revisit count drifted")
+
+        monkeypatch.setattr("cactusq.cli.solve_cactus", drifted)
+        with pytest.raises(SystemExit) as exc:
+            main(["path", "--graph", "line3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "internal error: walk revisit count drifted\n"
+
     @pytest.mark.parametrize("args", [
         ["hash", "--graph", "fig3"],
         ["cost", "--graph", "line1"],
@@ -240,6 +252,11 @@ class TestCostAndGen:
     @pytest.mark.parametrize("args, message", [
         (("verify", "--graph", "line3", "--what", "hash", "--p", "1"),
          "modulus must be at least 2"),
+        # the fold count and modulus are the hash check's alone
+        (("verify", "--graph", "line3", "--what", "qft", "--l", "2"),
+         "--l and --p apply to --what hash only"),
+        (("verify", "--graph", "line3", "--what", "qft", "--p", "5"),
+         "--l and --p apply to --what hash only"),
         (("hash", "--graph", "line1"), "hashing needs at least 2 qubits"),
         (("hash", "--graph", "line3", "--epsilon", "-1"), "epsilon must lie in (0, 0.5)"),
         # click's own parser errors

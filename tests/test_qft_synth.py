@@ -4,6 +4,7 @@ the QFT reference, and the cost accounting including the exact revisit
 surcharge."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,21 @@ class TestPendantRemoval:
                 for t in (4, 9)]:
             for seed in range(3):
                 assert self.remove_pendants(g, seed) > 0
+
+    def test_removals_at_scale(self):
+        # 200 removals from one solver on a 5 000-vertex cactus: the
+        # vertices are taken in a seeded order, each removed if it is a
+        # pendant by then, with a walk after every 50 to keep root values
+        # that later removals must clear
+        g = random_cactus(5000, 0)
+        solver = CactusSolver(g)
+        order = list(range(g.n))
+        random.Random(0).shuffle(order)
+        gone = (v for v in order if solver.remove_pendant(v))
+        for _ in range(4):
+            assert len(list(islice(gone, 50))) == 50
+            solver.walk()
+        self.check_against_fresh(g, solver)
 
     def test_walks_score_only_changed_blocks(self, monkeypatch):
         # a walk keeps the root values of blocks whose tables have not
