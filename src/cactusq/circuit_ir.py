@@ -1,13 +1,16 @@
 """Gate-level IR over physical qubits.
 
-Contents: the `Gate` and `Circuit` value types (with device-adjacency
-checking and the final qubit permutation the SWAPs leave); one lowering
-table onto the basic set {H, X, Ry, Rz, CNOT}, with the controlled-
-rotation/SWAP fusion applied at synthesis seams, read by `decompose` (a
-basic-gate `Circuit`), `to_qasm` (QASM-flavored text written straight from
-the table, each distinct gate formatted once) and `cnot_cost` (the `cx`
-lines `to_qasm` writes, counted in one pass over the composite gates);
-`cancel_adjacent_cnots`, a peephole pass kept apart from the cost; and a
+Contents: the `Gate` and `Circuit` value types.  `Circuit.extend` is the
+one loop that checks gates (qubit range, device edge) and traces the SWAP
+layout behind the final qubit permutation; as gates arrive it also marks
+the controlled-rotation/SWAP fusion, one byte per gate, and keeps the
+CNOT count.  A circuit built on the same device appends whole, with only
+its seam checked for a fusion and its layout composed.  One lowering table
+onto the basic set {H, X, Ry, Rz, CNOT} is read, with the fusion marks,
+by `decompose` (a basic-gate `Circuit`) and `to_qasm` (QASM-flavored text
+written straight from the table, each distinct gate formatted once);
+`cnot_cost` reads the kept count, the `cx` lines `to_qasm` writes.  Also:
+`cancel_adjacent_cnots`, a peephole pass kept apart from the cost, and a
 JSON gate-list dump/load pair.
 
 Gate matrices follow the conventions used throughout this package:
@@ -32,6 +35,18 @@ KIND_ARITY = {
 }
 ANGLE_KINDS = ("Ry", "Rz", "CRy", "CRz")
 ORDER_KINDS = ("CRd", "Rk")
+_CONTROLLED = ("CRy", "CRz", "CRd")
+# the CNOTs of a two-qubit gate when lowered alone; a SWAP fused into the
+# controlled rotation before it adds 1, not 3
+_CNOTS = {"CNOT": 1, "SWAP": 3, "CRy": 2, "CRz": 2, "CRd": 2}
+# fuse marks, `Circuit._fuse`
+_PLAIN, _FUSED, _SWALLOWED = 0, 1, 2
+
+
+def _fuses(gate: Gate, swap: Gate) -> bool:
+    """Whether `swap`, a SWAP right after `gate`, fuses into it: `gate` is
+    a controlled rotation on the same pair, either way round."""
+    return gate.kind in _CONTROLLED and gate.qubits in (swap.qubits, swap.qubits[::-1])
 
 
 class DeviceViolation(Exception):
@@ -71,7 +86,13 @@ class Circuit:
 
     If a device graph is attached, every two-qubit gate must land on an
     edge of it.  Logical qubit q starts at physical position q and moves
-    only at SWAPs; `final_permutation[q]` is where it ends up.
+    only at SWAPs; `final_permutation[q]` is where it ends up.  As gates
+    arrive the circuit also marks the CR+SWAP fusion, one byte per gate
+    (`_FUSED` on a controlled rotation whose next gate is a SWAP on the
+    same pair, `_SWALLOWED` on that SWAP, `_PLAIN` otherwise), and keeps
+    the number of `cx` lines `to_qasm` writes.  Both stand only for the
+    kind and the pair of each gate, so a gate may be replaced in `gates`
+    by one of the same kind on the same pair.
     """
 
     def __init__(self, num_qubits: int, device: Graph | None = None):
@@ -80,27 +101,74 @@ class Circuit:
         self.num_qubits = num_qubits
         self.device = device
         self.gates: list[Gate] = []
+        self._fuse = bytearray()  # one fuse mark per gate
+        self._cnots = 0
         self._position = list(range(num_qubits))  # logical -> physical
         self._logical = list(range(num_qubits))  # physical -> logical
 
     def append(self, gate: Gate) -> None:
-        for q in gate.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range")
-        if self.device is not None and len(gate.qubits) == 2:
-            a, b = gate.qubits
-            if not self.device.has_edge(a, b):
-                raise DeviceViolation(f"{gate.kind} on non-adjacent ({a},{b})")
-        self.gates.append(gate)
-        if gate.kind == "SWAP":
-            a, b = gate.qubits
-            qa, qb = self._logical[a], self._logical[b]
-            self._position[qa], self._position[qb] = b, a
-            self._logical[a], self._logical[b] = qb, qa
+        self.extend((gate,))
 
     def extend(self, gates) -> None:
+        """Append gates one by one, each checked for qubit range and device
+        edge, or a whole `Circuit` on the same device (`_append_circuit`)."""
+        if isinstance(gates, Circuit):
+            self._append_circuit(gates)
+            return
+        n = self.num_qubits
+        adjacency = self.device.adjacency if self.device is not None else None
+        ours, fuse = self.gates, self._fuse
         for g in gates:
-            self.append(g)
+            qubits = g.qubits
+            mark = _PLAIN
+            if len(qubits) == 1:
+                if not 0 <= qubits[0] < n:
+                    raise ValueError(f"qubit {qubits[0]} out of range")
+            else:
+                a, b = qubits
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"qubit {b if 0 <= a < n else a} out of range")
+                if adjacency is not None and b not in adjacency[a]:
+                    raise DeviceViolation(f"{g.kind} on non-adjacent ({a},{b})")
+                if g.kind != "SWAP":
+                    self._cnots += _CNOTS[g.kind]
+                else:
+                    logical = self._logical
+                    qa, qb = logical[a], logical[b]
+                    self._position[qa], self._position[qb] = b, a
+                    logical[a], logical[b] = qb, qa
+                    if ours and _fuses(ours[-1], g):
+                        fuse[-1] = _FUSED
+                        mark = _SWALLOWED
+                        self._cnots += 1
+                    else:
+                        self._cnots += 3
+            ours.append(g)
+            fuse.append(mark)
+
+    def _append_circuit(self, other: Circuit) -> None:
+        """Append `other` whole.  Its gates passed the checks when it was
+        built on the same device, so what is left is the fusion of a
+        controlled rotation this circuit ends with and a SWAP `other` starts
+        with, and the composition of the two layouts."""
+        if other.device is not self.device or other.num_qubits != self.num_qubits:
+            raise ValueError("an appended circuit must be on the same device and qubit count")
+        if not other.gates:
+            return
+        gates, count, first = self.gates, other._cnots, other.gates[0]
+        seam = len(gates) - 1
+        # `other`'s first gate was fused with nothing before it
+        fuses = seam >= 0 and first.kind == "SWAP" and _fuses(gates[seam], first)
+        gates.extend(other.gates)
+        self._fuse.extend(other._fuse)
+        if fuses:
+            self._fuse[seam:seam + 2] = bytes((_FUSED, _SWALLOWED))
+            count -= 2
+        self._cnots += count
+        # physical p ends up holding what stood at other._logical[p]
+        logical = self._logical = [self._logical[p] for p in other._logical]
+        for p, q in enumerate(logical):
+            self._position[q] = p
 
     # convenience constructors --------------------------------------------
     def h(self, q): self.append(Gate("H", (q,)))
@@ -126,8 +194,8 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Lowering onto {H, X, Ry, Rz, CNOT}: one table, read by `decompose`,
-# `to_qasm` and `cnot_cost`.
+# Lowering onto {H, X, Ry, Rz, CNOT}: one table, read by `decompose` and
+# `to_qasm`; `Circuit` counts the CNOTs it gives as gates arrive.
 #
 # CRy(t) on (c,v):        Ry_v(t/2) . CX . Ry_v(-t/2) . CX          (2 CNOTs)
 # CRz(t) on (c,v):        Rz_v(t/2) . CX . Rz_v(-t/2) . CX          (2 CNOTs)
@@ -137,26 +205,6 @@ class Circuit:
 # CR?+SWAP on one pair fuses to a 3-CNOT block: the trailing CX of the
 # rotation annihilates the leading CX of the SWAP.
 # ---------------------------------------------------------------------------
-
-_CONTROLLED = ("CRy", "CRz", "CRd")
-_CNOTS = {"CNOT": 1, "SWAP": 3, "CRy": 2, "CRz": 2, "CRd": 2}
-
-
-def _fused(gates: list[Gate]):
-    """Yields (gate, fuse): fuse is set on a controlled rotation whose
-    next gate is a SWAP on the same pair, and that SWAP is skipped."""
-    i = 0
-    while i < len(gates):
-        g = gates[i]
-        fuse = (
-            g.kind in _CONTROLLED
-            and i + 1 < len(gates)
-            and gates[i + 1].kind == "SWAP"
-            and set(gates[i + 1].qubits) == set(g.qubits)
-        )
-        yield g, fuse
-        i += 2 if fuse else 1
-
 
 def _rows(gate: Gate, fuse_swap: bool) -> list[tuple]:
     """Basic (kind, qubits, theta) rows of `gate`, or of `gate` and the
@@ -186,8 +234,9 @@ def _rows(gate: Gate, fuse_swap: bool) -> list[tuple]:
 
 def _lowered(c: Circuit):
     """Basic rows of the whole circuit, in order."""
-    for g, fuse in _fused(c.gates):
-        yield from _rows(g, fuse)
+    for g, mark in zip(c.gates, c._fuse):
+        if mark != _SWALLOWED:
+            yield from _rows(g, mark == _FUSED)
 
 
 def decompose(c: Circuit) -> Circuit:
@@ -225,11 +274,11 @@ def cancel_adjacent_cnots(c: Circuit) -> Circuit:
 
 
 def cnot_cost(c: Circuit) -> int:
-    """Number of `cx` lines `to_qasm` writes, counted over the composite
-    gates in one pass: CNOT 1, SWAP 3, controlled rotation 2, and a fused
-    CR+SWAP pair 3.  No peephole cancellation is applied; that is
+    """Number of `cx` lines `to_qasm` writes, kept by `c` as its gates
+    arrive: CNOT 1, SWAP 3, controlled rotation 2, and a fused CR+SWAP pair
+    3.  No peephole cancellation is applied; that is
     `cancel_adjacent_cnots`, a pass of its own."""
-    return sum(_CNOTS.get(g.kind, 0) + fuse for g, fuse in _fused(c.gates))
+    return c._cnots
 
 
 @dataclass(frozen=True)
@@ -267,14 +316,17 @@ def to_qasm(c: Circuit) -> str:
     distinct (gate, fused) pair are formatted once and the text reused."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
     text: dict[tuple, str] = {}
-    for g, fuse in _fused(c.gates):
+    for g, mark in zip(c.gates, c._fuse):
+        if mark == _SWALLOWED:
+            continue
         # 0.0 == -0.0 would make them one key, yet they print as 0 and -0
-        key = (g, fuse, math.copysign(1.0, g.theta)) if g.theta == 0 else (g, fuse)
+        key = (g, mark, math.copysign(1.0, g.theta)) if g.theta == 0 else (g, mark)
         rows = text.get(key)
         if rows is None:
-            rows = text[key] = "\n".join(_qasm_line(*row) for row in _rows(g, fuse))
+            rows = text[key] = "\n".join(_qasm_line(*row) for row in _rows(g, mark == _FUSED))
         lines.append(rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # a closing newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def circuit_to_json_dict(c: Circuit) -> dict:
@@ -291,15 +343,10 @@ def circuit_to_json_dict(c: Circuit) -> dict:
 
 def circuit_from_json_dict(data: dict, device: Graph | None = None) -> Circuit:
     c = Circuit(int(data["num_qubits"]), device=device)
-    for entry in data["gates"]:
-        c.append(
-            Gate(
-                entry["kind"],
-                tuple(entry["qubits"]),
-                theta=entry.get("theta"),
-                d=entry.get("d"),
-            )
-        )
+    c.extend(
+        Gate(entry["kind"], tuple(entry["qubits"]), theta=entry.get("theta"), d=entry.get("d"))
+        for entry in data["gates"]
+    )
     return c
 
 

@@ -76,7 +76,7 @@ MAX_VERTICES = 100_000
 
 # the circuit grows linearly in --l, so a mistyped fold count would run
 # until memory ran out; `hash --graph fig3 --l 100000 --emit qasm` takes
-# about 1.5 s and 200 MB on a 2-vCPU VM
+# about 1 s and 190 MB on a 2-vCPU VM
 MAX_FOLDS = 100_000
 
 # click >= 8.2 raises this for a bare `cactusq`; its message is the help text

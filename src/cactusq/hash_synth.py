@@ -12,12 +12,12 @@ the next one's opening rotations, which commute, merge into one
 double-angle rotation at the seam.  The reverse SWAPs undo the forward
 ones, so the qubits are back in place after every pair of applications
 and the fold repeats with a period of two: the forward and the reverse
-application are each built once, and every later application appends the
-same gates again.  Also contains the Theorem 1 cost formula (asserted by
-`synthesize_hash`), the MOD_p coefficient math (the good-set check and
-the automaton's closed-form acceptance), the good-coefficient-set
-search, and the full MOD_p automaton circuit (H sandwich around the
-repeated operator).
+application are each built once as a circuit, and every application
+appends one of them, or one with its seam partner left out, whole.  Also
+contains the Theorem 1 cost formula (asserted by `synthesize_hash`), the
+MOD_p coefficient math (the good-set check and the automaton's
+closed-form acceptance), the good-coefficient-set search, and the full
+MOD_p automaton circuit (H sandwich around the repeated operator).
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _angle_of(angles, g: Graph, target: int):
 def target_walk(circuit: Circuit, verts, controls: set[int], descending: bool,
                 gate) -> set[int]:
     """Walk the target from verts[0] along `verts` on `circuit.device`,
-    firing each control once, and append each gate to `circuit`.
+    firing each control once, and append the walk's gates to `circuit`.
 
     At each walk vertex its neighbors in `controls` that are off the walk
     and have not fired yet fire in ascending order (descending when
@@ -131,19 +131,21 @@ def target_walk(circuit: Circuit, verts, controls: set[int], descending: bool,
     adjacency = circuit.device.adjacency
     pending = controls - set(verts)  # off-walk controls yet to fire
     fired: set[int] = set()
+    out: list[Gate] = []
     for at, nxt in zip_longest(verts, verts[1:]):
         nbrs = adjacency[at]
         for u in (nbrs[::-1] if descending else nbrs):
             if u in pending:
-                circuit.append(gate(u, at))
+                out.append(gate(u, at))
                 fired.add(u)
                 pending.remove(u)
         if nxt is None:
             break
         if nxt != start and nxt not in fired:
-            circuit.append(gate(nxt, at))
+            out.append(gate(nxt, at))
             fired.add(nxt)
-        circuit.append(Gate("SWAP", (at, nxt)))
+        out.append(Gate("SWAP", (at, nxt)))
+    circuit.extend(out)
     return fired
 
 
@@ -171,28 +173,24 @@ def construct_for_path(g: Graph, path, angles, direction: str = "forward") -> Ci
     return c
 
 
-def _append_merged(c: Circuit, gates: list[Gate]) -> None:
-    """Append the application `gates` to `c`, merging the CRy `c` ends with
-    into its partner: the CRy on the same pair among the application's
-    opening rotations, those before its first SWAP.  These all aim at the
-    walk's start and commute, so the partner moves to the seam."""
+def _seam_partner(c: Circuit, gates: list[Gate]) -> int | None:
+    """Index of the partner of the CRy `c` ends with in the application
+    `gates`: the CRy on the same pair among its opening rotations, those
+    before its first SWAP.  These all aim at the walk's start and commute,
+    so the partner can move to the seam and merge there."""
     last = c.gates[-1] if c.gates else None
     if last is not None and last.kind == "CRy":
         for j, x in enumerate(gates):
             if x.kind != "CRy":
                 break
             if x.qubits == last.qubits:
-                # a rotation moves no qubit, so replacing it keeps the layout
-                c.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + x.theta)
-                c.extend(gates[:j])
-                gates = gates[j + 1:]
-                break
-    c.extend(gates)
+                return j
+    return None
 
 
 def _fold_applications(path: CoveringPath, angles, l: int, circuit: Circuit) -> None:
     """Append l applications to `circuit`, alternating forward/reverse, each
-    merged into the last at its seam (`_append_merged`).
+    merged into the last at its seam (`_seam_partner`).
 
     `angles` (read by `_angle_of`, with the path's first vertex as the
     target) attach to logical qubits, and the SWAPs shift logical qubits
@@ -201,21 +199,39 @@ def _fold_applications(path: CoveringPath, angles, l: int, circuit: Circuit) -> 
     walk first disturbs its vertex, so that table is exact).  A reverse
     application undoes the forward one's SWAPs, so application i repeats
     application i % 2: `construct_for_path` builds the forward one at i = 0
-    and the reverse one at i = 1, each on a circuit of its own on
-    `circuit.device`, and every application appends `built[i % 2]` through
-    `Circuit.append`'s checks.  Only a merged seam rotation is a new gate.
+    and the reverse one at i = 1, each as a circuit of its own on
+    `circuit.device`, and so is each of them with its seam partner left
+    out, the first time that is needed.  Every application appends one of
+    these circuits whole, so the same `Gate` objects recur; only a merged
+    seam rotation is a new gate.
     """
     g = circuit.device
     target = path.vertices[0]
     per_logical = _angle_of(angles, g, target)
-    built: list[list[Gate]] = []
+    built: list[Circuit] = []
+    trimmed: dict[tuple[int, int], Circuit] = {}  # (i % 2, partner) -> the rest
     for i in range(l):
         if i < 2:
             angle_map = {u: per_logical(q)
                          for q, u in enumerate(circuit.final_permutation) if q != target}
             direction = "reverse" if i else "forward"
-            built.append(construct_for_path(g, path, angle_map, direction).gates)
-        _append_merged(circuit, built[i % 2])
+            built.append(construct_for_path(g, path, angle_map, direction))
+        app = built[i % 2]
+        j = _seam_partner(circuit, app.gates)
+        if j is None:
+            circuit.extend(app)
+            continue
+        last = circuit.gates[-1]
+        merged = Gate("CRy", last.qubits, theta=last.theta + app.gates[j].theta)
+        # a rotation moves no qubit, and the circuit's fuse mark and count
+        # for its last gate stand for the kind and the pair, which stay
+        assert (merged.kind, merged.qubits) == (last.kind, last.qubits)
+        circuit.gates[-1] = merged
+        rest = trimmed.get((i % 2, j))
+        if rest is None:
+            rest = trimmed[i % 2, j] = Circuit(g.n, device=g)
+            rest.extend(app.gates[:j] + app.gates[j + 1:])
+        circuit.extend(rest)
 
 
 def synthesize_hash(g: Graph, l: int, params: HashParams) -> HashSynthesisResult:

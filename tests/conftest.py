@@ -1,5 +1,6 @@
 """Shared helpers: test graphs (spiders, and cacti with their vertices
-renamed), seeded random circuits for fidelity tests, a
+renamed), seeded random circuits for fidelity tests, the pairwise CR+SWAP
+fusion rule as a reference CNOT count and lowering, a
 one-application-at-a-time reference for the l-fold hashing operator, a
 solve-every-stage-afresh reference for the QFT schedule with a park
 search, and exhaustive searches for shortest simple covering walks and
@@ -9,7 +10,7 @@ import math
 import random
 from collections import deque
 
-from cactusq.circuit_ir import Circuit, Gate
+from cactusq.circuit_ir import Circuit, Gate, _rows
 from cactusq.covering_path import brute_force_oracle, solve_cactus
 from cactusq.graph_core import Graph, NotACactus
 from cactusq.hash_synth import construct_for_path
@@ -78,6 +79,51 @@ def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:
     return c
 
 
+REFERENCE_CNOTS = {"CNOT": 1, "SWAP": 3, "CRy": 2, "CRz": 2, "CRd": 2}
+
+
+def reference_fusion(gates):
+    """(gate, fuse) for each gate the lowering writes, by scanning the gate
+    list in pairs: fuse is set on a controlled rotation whose next gate is
+    a SWAP on the same pair, and that SWAP is skipped."""
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        fuse = (
+            g.kind in ("CRy", "CRz", "CRd")
+            and i + 1 < len(gates)
+            and gates[i + 1].kind == "SWAP"
+            and set(gates[i + 1].qubits) == set(g.qubits)
+        )
+        yield g, fuse
+        i += 2 if fuse else 1
+
+
+def reference_cnot_count(gates) -> int:
+    """CNOTs of the lowered gate list under `reference_fusion`: CNOT 1,
+    SWAP 3, controlled rotation 2, and a fused CR+SWAP pair 3."""
+    return sum(REFERENCE_CNOTS.get(g.kind, 0) + fuse for g, fuse in reference_fusion(gates))
+
+
+def reference_rows(gates) -> list[tuple]:
+    """Basic (kind, qubits, theta) rows of the gate list, fused by
+    `reference_fusion` and lowered by the package's table."""
+    return [row for g, fuse in reference_fusion(gates) for row in _rows(g, fuse)]
+
+
+def replayed_permutation(num_qubits: int, gates) -> tuple[int, ...]:
+    """Where each logical qubit ends up, replaying the SWAPs one by one."""
+    at = list(range(num_qubits))  # at[u] = logical qubit on physical u
+    for g in gates:
+        if g.kind == "SWAP":
+            a, b = g.qubits
+            at[a], at[b] = at[b], at[a]
+    position = [0] * num_qubits
+    for u, q in enumerate(at):
+        position[q] = u
+    return tuple(position)
+
+
 def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
     """Append l hashing applications along `path` to `circuit`, building
     every one afresh: forward and reverse in turn, each angle table read
@@ -103,7 +149,11 @@ def hash_fold_reference(g, path, angles, l: int, circuit: Circuit) -> Circuit:
             j = next(j for j, x in enumerate(gates) if x.qubits[0] == lead)
             gates.insert(0, gates.pop(j))
         if last is not None and last.kind == gates[0].kind == "CRy" and last.qubits == gates[0].qubits:
-            circuit.gates[-1] = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
+            merged = Gate("CRy", last.qubits, theta=last.theta + gates[0].theta)
+            # the circuit's fuse mark and count for its last gate stand for
+            # the kind and the pair
+            assert (merged.kind, merged.qubits) == (last.kind, last.qubits)
+            circuit.gates[-1] = merged
             gates = gates[1:]
         circuit.extend(gates)
         for cur, nxt in zip(verts, verts[1:]):

@@ -1,18 +1,27 @@
 """Circuit IR tests: gate validation, device adjacency enforcement, the
 SWAP layout trace, composite decomposition with CR+SWAP fusion, CNOT
-cancellation, the one-pass CNOT count against the lowered circuit and the
-QASM text, cost reports, the QASM/JSON emitters, the QASM text of reused
-gates against a row-by-row formatter, and a digest that pins the QASM
-text of a fixed corpus."""
+cancellation, the kept CNOT count against the lowered circuit and the
+QASM text, the fusion marks and count a circuit keeps across single,
+gate-list and whole-circuit appends against the pairwise rule, cost
+reports, the QASM/JSON emitters, the QASM text of reused gates against a
+row-by-row formatter, and a digest that pins the QASM text of a fixed
+corpus."""
 
 import hashlib
+import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_circuit
+from conftest import (
+    random_circuit,
+    reference_cnot_count,
+    reference_rows,
+    replayed_permutation,
+)
 
 from cactusq.circuit_ir import (
     BASIC_KINDS,
@@ -200,7 +209,7 @@ class TestCancelAdjacent:
 
 
 class TestOnePassCount:
-    # cnot_cost counts over the composite gates; it must equal the CNOTs of
+    # cnot_cost reads the count the circuit keeps; it must equal the CNOTs of
     # the lowered circuit and the cx lines of the QASM text, and on
     # synthesized circuits the cancel pass finds nothing to remove.
     def test_corpus_counts_agree(self):
@@ -221,6 +230,132 @@ class TestOnePassCount:
     def test_random_circuit_cost_is_qasm_cx_lines(self, n, seed, length):
         c = random_circuit(n, seed, length=length)
         assert cnot_cost(c) == _cx_lines(to_qasm(c)) == decompose(c).count("CNOT")
+
+
+def _random_gate(rng, n, device, prev):
+    """A gate on `device` (any pair when None) that, after a controlled
+    rotation `prev`, is often a SWAP on its pair, either way round."""
+    if prev is not None and prev.kind in ("CRy", "CRz", "CRd") and rng.random() < 0.5:
+        a, b = prev.qubits
+        return Gate("SWAP", (a, b) if rng.random() < 0.5 else (b, a))
+    kind = rng.choice(["H", "Rz", "Rk", "CNOT", "CRy", "CRz", "CRd", "SWAP", "SWAP"])
+    if kind == "H":
+        return Gate("H", (rng.randrange(n),))
+    if kind == "Rz":
+        return Gate("Rz", (rng.randrange(n),), theta=rng.uniform(-math.pi, math.pi))
+    if kind == "Rk":
+        return Gate("Rk", (rng.randrange(n),), d=rng.randint(1, 4))
+    if device is not None:
+        a, b = rng.choice(device.edges())
+    else:
+        a, b = rng.sample(range(n), 2)
+    if rng.random() < 0.5:
+        a, b = b, a
+    if kind in ("CRy", "CRz"):
+        return Gate(kind, (a, b), theta=rng.uniform(-math.pi, math.pi))
+    if kind == "CRd":
+        return Gate(kind, (a, b), d=rng.randint(2, 5))
+    return Gate(kind, (a, b))
+
+
+def _check_kept_fusion(c):
+    """The circuit's kept count, QASM text, lowering and layout against the
+    pairwise rule and a gate-by-gate replay of its gate list."""
+    assert cnot_cost(c) == reference_cnot_count(c.gates) == _cx_lines(to_qasm(c))
+    lowered = [(x.kind, x.qubits, x.theta) for x in decompose(c).gates]
+    assert lowered == reference_rows(c.gates)
+    assert c.final_permutation == replayed_permutation(c.num_qubits, c.gates)
+
+
+# a controlled rotation on (1, 0), then the next gate on the far side of a
+# join: a SWAP on the same pair, on the reversed pair, or on another pair
+_SEAMS = [Gate("SWAP", (1, 0)), Gate("SWAP", (0, 1)), Gate("SWAP", (1, 2))]
+
+
+class TestKeptFusion:
+    # A circuit marks the CR+SWAP fusion and counts the cx lines as gates
+    # arrive, by single appends, gate-list extends and whole-circuit
+    # appends; what it keeps must be what the pairwise rule finds on the
+    # final gate list.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 10_000), st.booleans(),
+           st.lists(st.tuples(st.sampled_from(["one", "list", "circuit"]),
+                              st.integers(0, 6)), max_size=12))
+    def test_random_joins_match_the_pairwise_rule(self, n, seed, on_device, pieces):
+        rng = random.Random(seed)
+        device = random_cactus(n, seed) if on_device else None
+        c = Circuit(n, device=device)
+        prev = None
+        for join, length in pieces:
+            gates = []
+            for _ in range(1 if join == "one" else length):
+                prev = _random_gate(rng, n, device, prev)
+                gates.append(prev)
+            if join == "one":
+                c.append(gates[0])
+            elif join == "list":
+                c.extend(gates)
+            else:
+                part = Circuit(n, device=device)
+                part.extend(gates)
+                c.extend(part)
+        _check_kept_fusion(c)
+
+    @pytest.mark.parametrize("seam", _SEAMS, ids=["same-pair", "reversed-pair", "other-pair"])
+    @pytest.mark.parametrize("join", ["one", "list", "circuit"])
+    def test_seams(self, seam, join):
+        device = line(3)
+        for rotation in (Gate("CRy", (1, 0), theta=0.5), Gate("CRd", (1, 0), d=3)):
+            c = Circuit(3, device=device)
+            c.h(2)
+            c.append(rotation)
+            after = [seam, Gate("CRz", (2, 1), theta=-0.25), Gate("SWAP", (2, 1))]
+            if join == "one":
+                for gate in after:
+                    c.append(gate)
+            elif join == "list":
+                c.extend(after)
+            else:
+                part = Circuit(3, device=device)
+                part.extend(after)
+                c.extend(part)
+            fused = seam.qubits != (1, 2)
+            assert cnot_cost(c) == (3 if fused else 5) + 3
+            _check_kept_fusion(c)
+
+    def test_whole_circuit_composes_layouts(self):
+        device = line(4)
+        c, part = Circuit(4, device=device), Circuit(4, device=device)
+        c.swap(0, 1)
+        c.swap(1, 2)
+        part.swap(2, 3)
+        part.swap(0, 1)
+        c.extend(part)
+        c.extend(c)
+        _check_kept_fusion(c)
+
+    @pytest.mark.parametrize("other", [
+        lambda: Circuit(3, device=line(3)),  # an equal graph, another object
+        lambda: Circuit(3),
+        lambda: Circuit(4, device=line(4)),
+    ], ids=["other-device-object", "no-device", "other-size"])
+    def test_whole_append_needs_the_same_device(self, other):
+        c = Circuit(3, device=line(3))
+        c.cry(1, 0, 0.5)
+        part = other()
+        part.swap(0, 1)
+        with pytest.raises(ValueError, match="same device"):
+            c.extend(part)
+        assert len(c.gates) == 1 and cnot_cost(c) == 2
+        assert c.final_permutation == (0, 1, 2)
+
+    def test_failed_check_keeps_what_was_appended(self):
+        c = Circuit(3, device=line(3))
+        with pytest.raises(DeviceViolation):
+            c.extend([Gate("CRy", (1, 0), theta=0.5), Gate("SWAP", (0, 1)),
+                      Gate("CNOT", (0, 2))])
+        assert cnot_cost(c) == 3
+        _check_kept_fusion(c)
 
 
 class TestCostReport:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hash_fold_reference
+from conftest import hash_fold_reference, reference_cnot_count
 
 from cactusq.circuit_ir import Circuit, DeviceViolation, cnot_cost
 from cactusq.covering_path import solve_cactus
@@ -188,6 +188,19 @@ class TestReplayedFold:
         res = synthesize_hash(g, l, _params_for(g.n))
         per_application = len(construct_for_path(g, res.path, _flat_angles(g)).gates)
         assert len({id(x) for x in res.circuit.gates}) <= 2 * per_application + l - 1
+
+    # star60's walk is its centre alone, so its applications hold no SWAP
+    # and every seam merges into a CRy
+    @pytest.mark.parametrize("g", _REPLAY_GRAPHS + [pytest.param(star(60), id="star60")])
+    def test_whole_appends_keep_theorem1_and_the_gates(self, g):
+        params = _params_for(g.n)
+        for l in (1, 2, 3, 7, 1001):
+            res = synthesize_hash(g, l, params)
+            walk = res.path
+            assert res.cost.cnot_count == theorem1_cost(g.n, walk.k, walk.k_distinct, l)
+            assert res.cost.cnot_count == reference_cnot_count(res.circuit.gates)
+            per_application = len(construct_for_path(g, walk, _flat_angles(g)).gates)
+            assert len({id(x) for x in res.circuit.gates}) <= 2 * per_application + l - 1
 
 
 class TestSemantics:
