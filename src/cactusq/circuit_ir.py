@@ -5,9 +5,11 @@ one loop that checks gates (qubit range, device edge) and traces the SWAP
 layout behind the final qubit permutation; as gates arrive it also marks
 the controlled-rotation/SWAP fusion, one byte per gate, and keeps the
 CNOT count.  A circuit built on the same device appends whole, with only
-its seam checked for a fusion and its layout composed.  One lowering table
-onto the basic set {H, X, Ry, Rz, CNOT} is read, with the fusion marks,
-by `decompose` (a basic-gate `Circuit`) and `to_qasm` (QASM-flavored text
+its seam checked for a fusion and its layout composed.  A gate is one of
+seven kinds: H, CRy, CRd and SWAP, which the syntheses build, and Ry, Rz
+and CNOT, which the lowering writes.  One lowering table onto the basic
+set {H, Ry, Rz, CNOT} is read, with the fusion marks, by `decompose` (a
+basic-gate `Circuit`) and `to_qasm` (QASM-flavored text
 written straight from the table, each distinct gate formatted once);
 `cnot_cost` reads the kept count, the `cx` lines `to_qasm` writes.  Also:
 `cancel_adjacent_cnots`, a peephole pass kept apart from the cost, and a
@@ -28,17 +30,15 @@ from dataclasses import dataclass, field
 
 from .graph_core import Graph
 
-BASIC_KINDS = ("H", "X", "Ry", "Rz", "CNOT")
-KIND_ARITY = {
-    "H": 1, "X": 1, "Ry": 1, "Rz": 1, "Rk": 1,
-    "CNOT": 2, "CRy": 2, "CRz": 2, "CRd": 2, "SWAP": 2,
+BASIC_KINDS = ("H", "Ry", "Rz", "CNOT")
+# kind -> (qubits, parameter, CNOTs when lowered alone); the parameter is
+# the angle `theta`, the phase order `d` or None.  A SWAP fused into the
+# controlled rotation before it adds 1 CNOT, not 3
+_KINDS = {
+    "H": (1, None, 0), "Ry": (1, "theta", 0), "Rz": (1, "theta", 0),
+    "CNOT": (2, None, 1), "CRy": (2, "theta", 2), "CRd": (2, "d", 2), "SWAP": (2, None, 3),
 }
-ANGLE_KINDS = ("Ry", "Rz", "CRy", "CRz")
-ORDER_KINDS = ("CRd", "Rk")
-_CONTROLLED = ("CRy", "CRz", "CRd")
-# the CNOTs of a two-qubit gate when lowered alone; a SWAP fused into the
-# controlled rotation before it adds 1, not 3
-_CNOTS = {"CNOT": 1, "SWAP": 3, "CRy": 2, "CRz": 2, "CRd": 2}
+_CONTROLLED = ("CRy", "CRd")
 # fuse marks, `Circuit._fuse`
 _PLAIN, _FUSED, _SWALLOWED = 0, 1, 2
 
@@ -63,18 +63,19 @@ class Gate:
     d: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KIND_ARITY:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != KIND_ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {KIND_ARITY[self.kind]} qubits")
+        arity, parameter, _ = _KINDS[self.kind]
+        if len(self.qubits) != arity:
+            raise ValueError(f"{self.kind} takes {arity} qubits")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("repeated qubit in gate")
-        if self.kind in ANGLE_KINDS:
+        if parameter == "theta":
             if self.theta is None or not math.isfinite(self.theta):
                 raise ValueError(f"{self.kind} needs a finite angle")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no angle")
-        if self.kind in ORDER_KINDS:
+        if parameter == "d":
             if self.d is None or self.d < 1:
                 raise ValueError(f"{self.kind} needs phase order d >= 1")
         elif self.d is not None:
@@ -103,7 +104,6 @@ class Circuit:
         self.gates: list[Gate] = []
         self._fuse = bytearray()  # one fuse mark per gate
         self._cnots = 0
-        self._position = list(range(num_qubits))  # logical -> physical
         self._logical = list(range(num_qubits))  # physical -> logical
 
     def append(self, gate: Gate) -> None:
@@ -117,7 +117,7 @@ class Circuit:
             return
         n = self.num_qubits
         adjacency = self.device.adjacency if self.device is not None else None
-        ours, fuse = self.gates, self._fuse
+        ours, fuse, logical = self.gates, self._fuse, self._logical
         for g in gates:
             qubits = g.qubits
             mark = _PLAIN
@@ -131,12 +131,9 @@ class Circuit:
                 if adjacency is not None and b not in adjacency[a]:
                     raise DeviceViolation(f"{g.kind} on non-adjacent ({a},{b})")
                 if g.kind != "SWAP":
-                    self._cnots += _CNOTS[g.kind]
+                    self._cnots += _KINDS[g.kind][2]
                 else:
-                    logical = self._logical
-                    qa, qb = logical[a], logical[b]
-                    self._position[qa], self._position[qb] = b, a
-                    logical[a], logical[b] = qb, qa
+                    logical[a], logical[b] = logical[b], logical[a]
                     if ours and _fuses(ours[-1], g):
                         fuse[-1] = _FUSED
                         mark = _SWALLOWED
@@ -166,25 +163,23 @@ class Circuit:
             count -= 2
         self._cnots += count
         # physical p ends up holding what stood at other._logical[p]
-        logical = self._logical = [self._logical[p] for p in other._logical]
-        for p, q in enumerate(logical):
-            self._position[q] = p
+        self._logical = [self._logical[p] for p in other._logical]
 
     # convenience constructors --------------------------------------------
     def h(self, q): self.append(Gate("H", (q,)))
-    def x(self, q): self.append(Gate("X", (q,)))
     def ry(self, q, theta): self.append(Gate("Ry", (q,), theta=theta))
     def rz(self, q, theta): self.append(Gate("Rz", (q,), theta=theta))
-    def rk(self, q, d): self.append(Gate("Rk", (q,), d=d))
     def cnot(self, c, t): self.append(Gate("CNOT", (c, t)))
     def cry(self, c, t, theta): self.append(Gate("CRy", (c, t), theta=theta))
-    def crz(self, c, t, theta): self.append(Gate("CRz", (c, t), theta=theta))
     def crd(self, c, t, d): self.append(Gate("CRd", (c, t), d=d))
     def swap(self, a, b): self.append(Gate("SWAP", (a, b)))
 
     @property
     def final_permutation(self) -> tuple[int, ...]:
-        return tuple(self._position)
+        position = [0] * self.num_qubits
+        for p, q in enumerate(self._logical):
+            position[q] = p
+        return tuple(position)
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)
@@ -194,11 +189,10 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Lowering onto {H, X, Ry, Rz, CNOT}: one table, read by `decompose` and
+# Lowering onto {H, Ry, Rz, CNOT}: one table, read by `decompose` and
 # `to_qasm`; `Circuit` counts the CNOTs it gives as gates arrive.
 #
 # CRy(t) on (c,v):        Ry_v(t/2) . CX . Ry_v(-t/2) . CX          (2 CNOTs)
-# CRz(t) on (c,v):        Rz_v(t/2) . CX . Rz_v(-t/2) . CX          (2 CNOTs)
 # CRd(d), a = pi/2^(d-1): Rz_v(-a/2) . CX . Rz_v(a/2) . CX . Rz_c(-a/2),
 #                         equal to the controlled phase up to e^{-ia/4}.
 # SWAP:                   CX(a,b) . CX(b,a) . CX(a,b)               (3 CNOTs)
@@ -212,18 +206,15 @@ def _rows(gate: Gate, fuse_swap: bool) -> list[tuple]:
     kind = gate.kind
     if kind in BASIC_KINDS:
         return [(kind, gate.qubits, gate.theta)]
-    if kind == "Rk":
-        return [("Rz", gate.qubits, -math.pi / 2 ** (gate.d - 1))]
     if kind == "SWAP":
         a, b = gate.qubits
         return [("CNOT", (a, b), None), ("CNOT", (b, a), None), ("CNOT", (a, b), None)]
     c, t = gate.qubits
-    rot = "Ry" if kind == "CRy" else "Rz"
-    if kind == "CRd":  # with Rz = diag(e^{it/2}, e^{-it/2}) the half-angles invert
-        half = -(math.pi / 2 ** (gate.d - 1)) / 2
+    if kind == "CRy":
+        rot, half, phase = "Ry", gate.theta / 2, []
+    else:  # CRd: with Rz = diag(e^{it/2}, e^{-it/2}) the half-angles invert
+        rot, half = "Rz", -(math.pi / 2 ** (gate.d - 1)) / 2
         phase = [("Rz", (c,), half)]  # on the control
-    else:
-        half, phase = gate.theta / 2, []
     rows = [(rot, (t,), half), ("CNOT", (c, t), None), (rot, (t,), -half)]
     if fuse_swap:
         # the control phase commutes before the last CNOT pair; the trailing

@@ -17,6 +17,7 @@ of more than MAX_VERTICES vertices is refused before it is built.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -76,8 +77,13 @@ MAX_VERTICES = 100_000
 
 # the circuit grows linearly in --l, so a mistyped fold count would run
 # until memory ran out; `hash --graph fig3 --l 100000 --emit qasm` takes
-# about 1 s and 190 MB on a 2-vCPU VM
+# about 1 s and 126 MB on a 2-vCPU VM, its 72 MiB of QASM text written a
+# slice at a time
 MAX_FOLDS = 100_000
+
+# `_write_text` hands a text to `write` this many characters at a time, so
+# that its encoded copy is never made whole
+_WRITE_SLICE = 1 << 20
 
 # click >= 8.2 raises this for a bare `cactusq`; its message is the help text
 _NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
@@ -117,11 +123,10 @@ def _resolve_graph(spec: str) -> Graph:
 
 
 def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with (open(out, "w", encoding="utf-8") if out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for i in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[i:i + _WRITE_SLICE])
 
 
 def _print_json(obj, out: str | None = None) -> None:

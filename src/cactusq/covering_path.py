@@ -157,14 +157,15 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # contributions arrive: their closed costs summed, and at each position
 # the two children with the best savings (None where no neighbour
 # attaches).  Leaving out `up` touches only its own position, the pivot,
-# which no arm reads.  A cycle step scores candidates as integers, keeps
-# the first minimum per count of free ends and builds records for those
-# alone.  A push asks for 0 and 1 free ends.  Roots do not run the step to
-# be scored: with both ends free a walk's saving depends only on where its
-# two ends are, so one O(t) scan over a cycle's arcs (`cycle_root`) folds
-# each saving with the first pivot that reaches it and gives the block's
-# least root value and that pivot together.  Only the winning root runs the
-# step, once, at that pivot, for its record.
+# which no arm reads.  A cycle step scores once around and one chain per
+# clockwise tip as integers, keeps the first minimum per count of free
+# ends and builds records for those alone.  A push asks for 0 and 1 free
+# ends.  Roots do not run the step to be scored: with both ends free a
+# walk's saving depends only on where its two ends are, so one O(t) scan
+# over a cycle's arcs (`cycle_root`) folds each saving with the first
+# pivot that reaches it and gives the block's least root value and that
+# pivot together.  Only the winning root runs the step, once, at that
+# pivot, for its record.
 #
 # Every record has one shape, (pivot, mode, end1, end2).  The mode is
 # ("vertex",), ("perim",) (once around the cycle) or ("chain", a, b) (the
@@ -318,8 +319,8 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
     (saving, end) at the pivot, less the neighbour the block is seen from.
     Candidates: walk the full perimeter, or a chain of two arms from the
     pivot, the clockwise one to depth a and the other to depth b, that
-    leaves out the s = 0, 1 or 2 positions between their tips; a left-out
-    position must have no neighbours, so adjacency covers it.  Each arm
+    leaves out the whole run of at most 2 positions with no neighbours
+    after the clockwise tip (adjacency covers them).  Each arm
     holds at most one free end and the pivot's children the rest.  Values
     are folded with the step `weights`, (new, back) (see above).
     Returns [(value, record)] for each free-end count in `ends`, each the
@@ -332,8 +333,8 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
     sav_r, src_r = _arm_table(right, back)
     sav_l, src_l = _arm_table(left, back)
     # room[a]: how many positions in a row after depth a of the clockwise
-    # arm have no neighbours, at most 2 and none past the arm's end; a
-    # chain whose clockwise tip is at depth a may leave out up to that many
+    # arm have no neighbours, at most 2 and none past the arm's end; the
+    # chain whose clockwise tip is at depth a leaves out that many
     room = [0] * t
     for d in range(t - 2, -1, -1):
         if right[d + 1] is None:
@@ -345,33 +346,34 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
     v0 = (t - 1) * new + back + closed
     v1, v2 = v0 - e0, v0 - e0 - e1
     w0 = w1 = w2 = None
-    # Each chain is met once, by the position j of its clockwise tip and
-    # then its run of s <= room[a] left-out positions, the longest first.
-    # A run that holds position 0 is met first, its tip at t - 2 or t - 1
-    # read as j = -2 or -1 (so the slice keeps only s = 2 at j = -2 and
-    # s >= 1 at j = -1); j = t - 2 or t - 1 meets it again, and a repeat
-    # never wins a strict minimum.  A chain leaves its s + 1 edges
-    # (i, i + 1 mod t) unwalked, and this order is that of its least such
-    # i, so the walk kept is the one a loop over unwalked edges keeps: that
-    # loop meets a chain at each of its edges, with the same value and
-    # record each time.
+    # One chain per clockwise tip j, the one that leaves out the whole
+    # neighbourless run after it: a shorter run walks the other arm one
+    # position further, out and back at new + back, where no child lets an
+    # end save more than `back` more, so it scores strictly worse for any
+    # count of free ends.  A run that holds position 0 is met first, its
+    # tip at t - 2 or t - 1 read as j = -2 or -1 (which reach 0 only with
+    # s = 2 and s >= 1); j = t - 2 or t - 1 meets it again, and a repeat
+    # never wins a strict minimum.  So chains come in the order of their
+    # least unwalked edge (i, i + 1 mod t).
     for j in range(-2, t):
         a = (j - entry) % t
-        for s in (2, 1, 0)[2 - room[a]:j + 3]:
-            b = t - 1 - a - s
-            value = closed + (a + b) * step
-            if value < v0:
-                v0, w0 = value, (a, b)
-            hi, lo = sav_r[a], sav_l[b]
-            if lo > hi:
-                hi, lo = lo, hi
-            top1 = hi if hi > e0 else e0
-            if value - top1 < v1:
-                v1, w1 = value - top1, (a, b)
-            # the two largest of hi, lo, e0 and e1, knowing e0 >= e1
-            top2 = hi + (lo if lo >= e0 else e0) if hi >= e0 else e0 + (hi if hi > e1 else e1)
-            if value - top2 < v2:
-                v2, w2 = value - top2, (a, b)
+        s = room[a]
+        if j + s < 0:
+            continue
+        b = t - 1 - a - s
+        value = closed + (a + b) * step
+        if value < v0:
+            v0, w0 = value, (a, b)
+        hi, lo = sav_r[a], sav_l[b]
+        if lo > hi:
+            hi, lo = lo, hi
+        top1 = hi if hi > e0 else e0
+        if value - top1 < v1:
+            v1, w1 = value - top1, (a, b)
+        # the two largest of hi, lo, e0 and e1, knowing e0 >= e1
+        top2 = hi + (lo if lo >= e0 else e0) if hi >= e0 else e0 + (hi if hi > e1 else e1)
+        if value - top2 < v2:
+            v2, w2 = value - top2, (a, b)
     out = []
     for e in ends:
         value, depths = ((v0, w0), (v1, w1), (v2, w2))[e]
@@ -388,12 +390,13 @@ def dp_cycle(top_at: list, closed: int, entry: int, at_entry: list,
 # A cycle root has both ends free, and then a walk's saving depends on
 # where its ends are, not on the pivot.  Every candidate of `dp_cycle`
 # walks an arc out and back at `step` per arc edge: the cycle less the
-# edge into position r, or less the run of s = 1 or 2 neighbourless
-# positions from r that its chain leaves out, so the arc runs from r + s
-# round to r - 1.  Ends at arc positions u before w save their distance
-# along the arc times `back`, plus c(u) + c(w), c the best child saving at
-# a position (0 if none); both ends in the children of one position p save
-# d(p), its two best child savings summed.  A pivot p scores a pair only
+# edge into position r, or less the whole run of s <= 2 neighbourless
+# positions from r that its chain leaves out (an arc that keeps one of
+# them walks one more edge to save at most one `back` more), so the arc
+# runs from r + s round to r - 1.  Ends at arc positions u before w save
+# their distance along the arc times `back`, plus c(u) + c(w), c the best
+# child saving at a position (0 if none); both ends in the children of
+# one position p save d(p), its two best child savings summed.  A pivot p scores a pair only
 # when it lies on the arc from u to w, so the first pivot to reach a pair
 # is u, or 0 when the walk from u to w crosses t - 1 -> 0, and a double
 # end at p is reached from p.  Folded as saving * t - pivot, one maximum
@@ -436,24 +439,24 @@ def cycle_root(top_at: list, closed: int, weights: tuple[int, int]) -> tuple[int
     least = min(((t - 1) * new + back) * t - double,
                 (t - 1) * step * t - max(suf[0], double, *map(add, across_suf[1:], second_pre)))
     for r in range(t):
-        for s in (1, 2):
-            if top_at[(r + s - 1) % t] is not None:
-                break
-            a = r + s  # the arc runs from a round to r - 1
-            if s == t - 1:  # a single position, which holds both ends
-                q = a % t
-                ends = d[q] * t - q
+        if top_at[r] is not None:
+            continue
+        s = 2 if top_at[(r + 1) % t] is None else 1
+        a = r + s  # the arc runs from a round to r - 1
+        if s == t - 1:  # a single position, which holds both ends
+            q = a % t
+            ends = d[q] * t - q
+        else:
+            if r == 0:
+                pair = suf[s]
+            elif a == t:
+                pair = pre[r - 1]
+            elif a > t:  # the run holds t - 1 and 0: the arc is 1 .. t - 2
+                pair = _pairs(first[1:-1], second[1:-1])[-1]
             else:
-                if r == 0:
-                    pair = suf[s]
-                elif a == t:
-                    pair = pre[r - 1]
-                elif a > t:  # the run holds t - 1 and 0: the arc is 1 .. t - 2
-                    pair = _pairs(first[1:-1], second[1:-1])[-1]
-                else:
-                    pair = max(suf[a], pre[r - 1], across_suf[a] + second_pre[r - 1])
-                ends = max(pair, double)
-            least = min(least, (t - 1 - s) * step * t - ends)
+                pair = max(suf[a], pre[r - 1], across_suf[a] + second_pre[r - 1])
+            ends = max(pair, double)
+        least = min(least, (t - 1 - s) * step * t - ends)
     return divmod(closed * t + least, t)
 
 

@@ -19,9 +19,9 @@ cycles of the relabel, so that only one unitary is ever held.  A
 controlled gate acts only on the view where its control axis reads 1,
 and applies there its target core: `_core`, the 2x2 matrix of which
 `gate_matrix` builds its 4x4 forms.  A one-qubit core on the two slices
-of its target axis scales them in place when it is diagonal (Rz, Rk,
-CRd's phase), and mixes them otherwise (H, X, Ry) with one half-size
-temporary.
+of its target axis scales them in place when it is diagonal (Rz, CRd's
+phase), and mixes them otherwise (H, Ry, CRy's Ry, CNOT's bit flip) with
+one half-size temporary.
 """
 
 from __future__ import annotations
@@ -52,19 +52,19 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 def _core(g: Gate) -> np.ndarray:
     """The 2x2 matrix gate `g` applies to its target (for a controlled
-    gate, where its control reads 1): a controlled gate shares the core of
-    its one-qubit kind, CNOT X's and CRd Rk's."""
+    gate, where its control reads 1): CRy shares Ry's core, CNOT's is the
+    bit flip and CRd's the phase e^{i*pi/2^(d-1)} on |1>."""
     k = g.kind
     if k == "H":
         return np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-    if k in ("X", "CNOT"):
+    if k == "CNOT":
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if k in ("Ry", "CRy"):
         c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if k in ("Rz", "CRz"):
+    if k == "Rz":
         return np.diag([np.exp(0.5j * g.theta), np.exp(-0.5j * g.theta)])
-    if k in ("Rk", "CRd"):
+    if k == "CRd":
         return np.diag([1.0, np.exp(1j * math.pi / 2 ** (g.d - 1))])
     raise AssertionError(f"unhandled gate kind {k}")
 

@@ -47,31 +47,25 @@ def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:
     """Unconstrained circuit over all gate kinds with seeded parameters."""
     rng = random.Random(seed)
     c = Circuit(n)
-    kinds = ["H", "X", "Ry", "Rz", "Rk"]
+    kinds = ["H", "Ry", "Rz"]
     if n >= 2:
-        kinds += ["CNOT", "CRy", "CRz", "CRd", "SWAP"]
+        kinds += ["CNOT", "CRy", "CRd", "SWAP"]
     for _ in range(length):
         kind = rng.choice(kinds)
         q = rng.randrange(n)
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         if kind == "H":
             c.h(q)
-        elif kind == "X":
-            c.x(q)
         elif kind == "Ry":
             c.ry(q, theta)
         elif kind == "Rz":
             c.rz(q, theta)
-        elif kind == "Rk":
-            c.rk(q, rng.randint(1, 5))
         else:
             other = rng.choice([x for x in range(n) if x != q])
             if kind == "CNOT":
                 c.cnot(q, other)
             elif kind == "CRy":
                 c.cry(q, other, theta)
-            elif kind == "CRz":
-                c.crz(q, other, theta)
             elif kind == "CRd":
                 c.crd(q, other, rng.randint(2, 5))
             else:
@@ -79,7 +73,7 @@ def random_circuit(n: int, seed: int, length: int = 20) -> Circuit:
     return c
 
 
-REFERENCE_CNOTS = {"CNOT": 1, "SWAP": 3, "CRy": 2, "CRz": 2, "CRd": 2}
+REFERENCE_CNOTS = {"CNOT": 1, "SWAP": 3, "CRy": 2, "CRd": 2}
 
 
 def reference_fusion(gates):
@@ -90,7 +84,7 @@ def reference_fusion(gates):
     while i < len(gates):
         g = gates[i]
         fuse = (
-            g.kind in ("CRy", "CRz", "CRd")
+            g.kind in ("CRy", "CRd")
             and i + 1 < len(gates)
             and gates[i + 1].kind == "SWAP"
             and set(gates[i + 1].qubits) == set(g.qubits)

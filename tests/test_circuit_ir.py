@@ -60,9 +60,14 @@ def _cx_lines(text: str) -> int:
 
 
 class TestGateValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Gate("CZ", (0, 1))
+    # no synthesis builds X, Rk or CRz and no lowering writes them
+    @pytest.mark.parametrize("kind, qubits, params", [
+        ("CZ", (0, 1), {}), ("X", (0,), {}), ("Rk", (0,), {"d": 2}),
+        ("CRz", (0, 1), {"theta": 0.7}),
+    ], ids=["CZ", "X", "Rk", "CRz"])
+    def test_unknown_kind(self, kind, qubits, params):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate(kind, qubits, **params)
 
     def test_arity(self):
         with pytest.raises(ValueError):
@@ -123,12 +128,10 @@ class TestDecompose:
         "build",
         [
             lambda c: c.cry(0, 1, 0.7),
-            lambda c: c.crz(0, 1, 0.7),
             lambda c: c.crd(0, 1, 3),
             lambda c: c.swap(0, 1),
-            lambda c: c.rk(0, 2),
         ],
-        ids=["cry", "crz", "crd", "swap", "rk"],
+        ids=["cry", "crd", "swap"],
     )
     def test_single_composite_preserved(self, build):
         c = Circuit(2)
@@ -235,23 +238,21 @@ class TestOnePassCount:
 def _random_gate(rng, n, device, prev):
     """A gate on `device` (any pair when None) that, after a controlled
     rotation `prev`, is often a SWAP on its pair, either way round."""
-    if prev is not None and prev.kind in ("CRy", "CRz", "CRd") and rng.random() < 0.5:
+    if prev is not None and prev.kind in ("CRy", "CRd") and rng.random() < 0.5:
         a, b = prev.qubits
         return Gate("SWAP", (a, b) if rng.random() < 0.5 else (b, a))
-    kind = rng.choice(["H", "Rz", "Rk", "CNOT", "CRy", "CRz", "CRd", "SWAP", "SWAP"])
+    kind = rng.choice(["H", "Ry", "Rz", "CNOT", "CRy", "CRd", "SWAP", "SWAP"])
     if kind == "H":
         return Gate("H", (rng.randrange(n),))
-    if kind == "Rz":
-        return Gate("Rz", (rng.randrange(n),), theta=rng.uniform(-math.pi, math.pi))
-    if kind == "Rk":
-        return Gate("Rk", (rng.randrange(n),), d=rng.randint(1, 4))
+    if kind in ("Ry", "Rz"):
+        return Gate(kind, (rng.randrange(n),), theta=rng.uniform(-math.pi, math.pi))
     if device is not None:
         a, b = rng.choice(device.edges())
     else:
         a, b = rng.sample(range(n), 2)
     if rng.random() < 0.5:
         a, b = b, a
-    if kind in ("CRy", "CRz"):
+    if kind == "CRy":
         return Gate(kind, (a, b), theta=rng.uniform(-math.pi, math.pi))
     if kind == "CRd":
         return Gate(kind, (a, b), d=rng.randint(2, 5))
@@ -309,7 +310,7 @@ class TestKeptFusion:
             c = Circuit(3, device=device)
             c.h(2)
             c.append(rotation)
-            after = [seam, Gate("CRz", (2, 1), theta=-0.25), Gate("SWAP", (2, 1))]
+            after = [seam, Gate("CRy", (2, 1), theta=-0.25), Gate("SWAP", (2, 1))]
             if join == "one":
                 for gate in after:
                     c.append(gate)
@@ -440,8 +441,8 @@ class TestQasmReuse:
         for _ in range(4):
             c.crd(1, 2, 3)
             c.swap(2, 1)
-            c.crz(0, 1, -1.25)
-            c.rk(2, 4)
+            c.cry(0, 1, -1.25)
+            c.rz(2, -math.pi / 8)
             c.cnot(1, 0)
         assert to_qasm(c) == _qasm_row_by_row(c)
 

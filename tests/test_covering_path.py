@@ -8,6 +8,7 @@ two fixed corpora."""
 
 import hashlib
 import random
+from collections import deque, namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from cactusq.covering_path import (
     TooLarge,
     brute_force_oracle,
     brute_force_visit_all,
+    dp_cycle,
     solve_cactus,
     solve_root_choices,
 )
@@ -308,11 +310,12 @@ class TestRootValues:
                 pivot = step.index(min(step))
                 assert dp.root(b) == (min(step), pivot), (g.n, g.edges(), b)
                 if kind == "cycle":
+                    # the arcs `cycle_root` scores: one per run start r,
+                    # leaving out the whole run from r, at most 2 long
                     top_at, t = dp.top_at[b], len(verts)
                     for r in range(t):
-                        for s in (1, 2):
-                            if top_at[(r + s - 1) % t] is not None:
-                                break
+                        if top_at[r] is None:
+                            s = 2 if top_at[(r + 1) % t] is None else 1
                             runs.add(s)
                             shapes.add(self.arc_shape(t, s, r))
                     if pivot and not any(top_at):
@@ -355,6 +358,78 @@ class TestRootValues:
         assert calls == []
 
 
+# a contribution as `dp_cycle` reads it from `top_at`
+_Child = namedtuple("_Child", "saving block")
+
+
+@st.composite
+def cycle_steps(draw):
+    """Arguments of one `dp_cycle` call: every position has no neighbours
+    (None, often, so that neighbourless runs occur) or one or two stand-in
+    contributions, largest saving first; at_entry holds up to two pivot
+    options, largest first; the weights are (unit, unit + 1)."""
+    t = draw(st.integers(3, 9))
+    top_at = []
+    for p in range(t):
+        savings = draw(st.one_of(st.none(), st.lists(st.integers(1, 80), min_size=1, max_size=2)))
+        top_at.append(None if savings is None else
+                      [_Child(x, 10 * p + i) for i, x in enumerate(sorted(savings, reverse=True))])
+    at_entry = [(x, ("child", 1000 + i)) for i, x in
+                enumerate(sorted(draw(st.lists(st.integers(1, 80), max_size=2)), reverse=True))]
+    closed, entry, unit = draw(st.integers(0, 500)), draw(st.integers(0, t - 1)), draw(st.integers(1, 40))
+    return top_at, closed, entry, at_entry, (unit, unit + 1)
+
+
+def _chain_values(top_at, closed, entry, at_entry, weights):
+    """Oracle: {(a, s): [value for 0, 1, 2 free ends]} of every chain, its
+    clockwise tip at depth a and the s <= 2 positions after it left out,
+    each with no neighbours; and the perimeter's values."""
+    t = len(top_at)
+    new, back = weights
+    pivot = [x for x, _ in at_entry]
+
+    def arm_saving(sign, depth):
+        # the best end out to `depth`: the tip, or a child at depth i
+        best = depth * back
+        for i in range(1, depth + 1):
+            top = top_at[(entry + sign * i) % t]
+            if top:
+                best = max(best, i * back + top[0].saving)
+        return best
+
+    def values(base, arms):
+        ends = sorted(arms + pivot + [0, 0], reverse=True)
+        return [base - sum(ends[:e]) for e in (0, 1, 2)]
+
+    chains = {}
+    for a in range(t):
+        for s in range(3):
+            b = t - 1 - a - s
+            if b < 0 or any(top_at[(entry + a + i) % t] for i in range(1, s + 1)):
+                break
+            chains[a, s] = values(closed + (a + b) * (new + back),
+                                  [arm_saving(1, a), arm_saving(-1, b)])
+    return chains, values(closed + (t - 1) * new + back, [])
+
+
+class TestCycleCandidates:
+    # `dp_cycle` scores one chain per clockwise tip, the one that leaves
+    # out the whole neighbourless run after it.  The oracle scores every
+    # chain, with any run it may leave out.
+    @settings(max_examples=300, deadline=None)
+    @given(cycle_steps())
+    def test_longest_runs_reach_every_minimum(self, args):
+        chains, perimeter = _chain_values(*args)
+        got = [value for value, _ in dp_cycle(*args, (0, 1, 2))]
+        assert got == [min([perimeter[e]] + [v[e] for v in chains.values()]) for e in (0, 1, 2)]
+        # a shorter run walks one more edge out and back to save at most
+        # one step back more, at every tip and for every count of free ends
+        for (a, s), v in chains.items():
+            longest = max(x for y, x in chains if y == a)
+            if s < longest:
+                assert all(v[e] > chains[a, longest][e] for e in (0, 1, 2)), (a, s)
+
+
 class TestDeepBlockTrees:
     # block trees a thousand levels deep, past the default recursion limit
     def test_long_line(self):
@@ -366,6 +441,49 @@ class TestDeepBlockTrees:
         g = chain_of_squares(400)
         p = solve_cactus(g)
         assert p.is_covering(g) and p.k == 799 == p.k_distinct
+
+
+def _internal_tree_walk(g):
+    """(length, vertex count) of a shortest covering walk of a tree on 3
+    or more vertices, in closed form: the walk stays on the I internal
+    vertices, a subtree, and walks every edge of it twice but those of one
+    longest path, so its length is 2(I - 1) - diam, diam found by two BFS
+    passes over that subtree."""
+    internal = {v for v in range(g.n) if len(g.adjacency[v]) > 1}
+
+    def farthest(start):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for u in g.adjacency[v]:
+                if u in internal and u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        far = max(dist, key=dist.get)
+        return far, dist[far]
+
+    end, _ = farthest(min(internal))
+    _, diam = farthest(end)
+    return 2 * (len(internal) - 1) - diam, len(internal)
+
+
+class TestTreesInClosedForm:
+    # on a tree the walk needs no DP to check: it visits each internal
+    # vertex once and every edge between them twice but for a diameter
+    @pytest.mark.parametrize("n", [*range(3, 60), 100, 300, 1000, 5000])
+    def test_random_trees(self, n):
+        for seed in range(4 if n < 100 else 2):
+            g = random_cactus(n, seed, 0.0)
+            p = solve_cactus(g)
+            assert (p.length, p.k_distinct) == _internal_tree_walk(g), (n, seed)
+
+    @pytest.mark.parametrize("g, length", [(star(3), 0), (star(4), 0), (star(50), 0),
+                                           (line(3), 0), (line(4), 1), (line(5), 2)],
+                             ids=["star3", "star4", "star50", "line3", "line4", "line5"])
+    def test_stars_and_short_lines(self, g, length):
+        p = solve_cactus(g)
+        assert _internal_tree_walk(g) == (length, length + 1) == (p.length, p.k_distinct)
 
 
 class TestSolverPrefersSimpleWalks:
