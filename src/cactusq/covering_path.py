@@ -3,10 +3,10 @@
 A walk P 1-covers G when every vertex is on P or adjacent to a vertex of
 P.  `CactusSolver` finds a minimum-length such walk in polynomial time by
 a dynamic program over the block tree of the weighted vertex cactus, and
-keeps its tables up to date as pendant vertices are removed, for graphs
-that shrink a vertex at a time (the QFT stages); `solve_cactus` solves a
-graph once.  `brute_force_oracle` is the exponential BFS reference used
-to validate it.
+keeps its tables up to date as vertices are removed (pendants, and those
+that open a cycle), for graphs that shrink a vertex at a time (the QFT
+stages); `solve_cactus` solves a graph once.  `brute_force_oracle` is the
+exponential BFS reference used to validate it.
 Among the shortest covering walks the DP prefers the one with the fewest
 revisits (the most distinct vertices), so it returns a simple walk
 whenever a simple walk is as short as any covering walk.
@@ -24,7 +24,6 @@ from operator import add, attrgetter
 from .graph_core import (
     Graph,
     NotConnected,
-    WeightedVertexCactus,
     build_block_tree,
     build_vertex_cactus,
     validate_cactus,
@@ -206,8 +205,13 @@ def brute_force_visit_all(g: Graph) -> CoveringPath:
 # neighbour is left there.  Only the contributions that point away from
 # the leaf can change.  They are recomputed outwards, and a branch stops
 # at the first one whose closed cost, saving and skip come out as before.
+# Removing the one vertex of a cycle that has no other neighbours opens the
+# cycle into a path of bridges (`CactusSolver.open_cycle`): what its
+# neighbours handed it keeps its value and is filed on the path, the path's
+# own bridges are scored both ways, and what points away from the path is
+# recomputed outwards by the same rule.
 # A block is scored as a root when a walk first asks, and keeps that score
-# until a drop changes its tables, which every later push into it follows.
+# until its tables change, which every later push into it follows.
 # A lone cycle is never scored.
 # ---------------------------------------------------------------------------
 
@@ -479,39 +483,39 @@ def _rank(top: list, c: ChildContribution) -> None:
         del top[2:]
 
 
-def _walk_weight(tvc: WeightedVertexCactus, walk: list[int]) -> int:
-    total = 0
-    for a, b in zip(walk, walk[1:]):
-        for nb, wt in tvc.adjacency[a]:
-            if nb == b:
-                total += wt
-                break
-        else:
-            raise AssertionError(f"walk step ({a},{b}) is not an edge of T")
-    return total
-
-
 class CactusSolver:
     """The covering-walk DP of a connected cactus: the DP values of every
     block as seen across each of its bridges, built once and kept up to
-    date as pendant vertices are removed.  The two passes start from block
-    `start`; every start gives the same tables.  A block is scored as a
-    root only when `walk` first needs it, and a lone cycle never is.
+    date as vertices whose removal keeps the rest connected are removed:
+    pendants, and the lone vertices that open a cycle.  The two passes
+    start from block `start`; every start gives the same tables.  A block
+    is scored as a root only when `walk` first needs it, and a lone cycle
+    never is.  The solver keeps its own blocks (kind, vertex-cactus ids)
+    and `block_of`, which openings change.
 
     After any removals the tables equal a fresh build's on the vertices
-    left.  A pendant removed in place leaves the numbering that build would
-    give, in relative order: vertex ids, copy ids and block ids, and the
-    cycles with their listings and hubs, since `validate_cactus` numbers
-    the cycles by their vertices.  Those orders are the solver's only
-    tie-breaks, so `walk` returns the fresh build's walk.  Only the step
-    weights differ: they stay the first build's.  Their `unit` is larger
-    than a fresh build's and orders any two candidate walks the same way,
-    since every candidate makes fewer revisits than either unit."""
+    left, and so does the numbering, in relative order: vertex ids, copy
+    ids (numbered by vertex, then cycle), and the cycles left with their
+    listings, since `validate_cactus` numbers the cycles by their
+    vertices.  A pendant takes its block with it.  An opening takes its
+    cycle's block: a copy on that cycle joins its hub, and a hub there
+    moves to its vertex's next cycle in place of the copy there, which is
+    where a fresh build puts the hub.  The path's other vertices get
+    blocks of their own, appended; a fresh build numbers them after the
+    cycles by vertex, the order `solve_root_choices` ranks blocks in.
+    Those orders are the solver's only tie-breaks, so `walk` returns the
+    fresh build's walk.  Only the step weights differ: they stay the
+    first build's.  Removals only take edges from the vertex cactus, so
+    their `unit` is larger than a fresh build's, and it orders any two
+    candidate walks the same way, since every candidate makes fewer
+    revisits than either unit."""
 
     def __init__(self, g: Graph, start: int = 0):
         self.g = g
-        self.tvc = tvc = build_vertex_cactus(g, validate_cactus(g))
-        self.bt = bt = build_block_tree(tvc)
+        tvc = build_vertex_cactus(g, validate_cactus(g))
+        bt = build_block_tree(tvc)
+        self.origin = tvc.origin
+        self.blocks, self.block_of = list(bt.blocks), list(bt.block_of)
         self.removed: set[int] = set()
         unit = sum(len(a) for a in tvc.adjacency) + 1
         # (new, back): a step onto a new vertex, a step back onto a visited one
@@ -549,7 +553,7 @@ class CactusSolver:
             for other in self.handed[b]:
                 if other != parent[b]:
                     self._push(b, other, self.handed[other][b])
-        # value[b]: root(b) once a walk asks for it, until a _drop changes b
+        # value[b]: root(b) once a walk asks for it, until b's tables change
         self.value: list[tuple[int, int] | None] = [None] * bt.n_blocks
 
     def _step(self, b: int, seen, pivot: int, ends: tuple[int, ...]):
@@ -561,7 +565,7 @@ class CactusSolver:
             closed -= seen.closed_cost
         at_pivot = [(c.saving, ("child", c.block))
                     for c in top_at[pivot] or () if c is not seen]
-        if self.bt.blocks[b][0] == "vertex":
+        if self.blocks[b][0] == "vertex":
             return dp_single_vertex(closed, at_pivot, ends)
         return dp_cycle(top_at, closed, pivot, at_pivot, self.weights, ends)
 
@@ -575,7 +579,7 @@ class CactusSolver:
         # over the bridge onto a new vertex, back as a revisit
         c.closed_cost = d_l + c.weight * (new + back)
         c.saving = d_l - d_p + c.weight * back
-        c.skipped = self.bt.blocks[b][0] == "vertex" and len(self.handed[b]) == 1
+        c.skipped = self.blocks[b][0] == "vertex" and len(self.handed[b]) == 1
         c.records = (closed, open_)
         tops = self.top_at[towards]
         tops[c.position] = tops[c.position] or []
@@ -603,9 +607,9 @@ class CactusSolver:
                 _rank(tops[p], c)
 
     def remove_pendant(self, v: int) -> bool:
-        """Remove vertex v in place if it has one neighbour left; otherwise
-        remove nothing and return False.  Such a v is on no cycle: its
-        block is a leaf, deleted with its bridge.
+        """Remove vertex v in place if it is left and has one neighbour
+        left; otherwise remove nothing and return False.  Such a v is on no
+        cycle: its block is a leaf, deleted with its bridge.
 
         The leaf's contribution is unfiled from its attach position.  Only
         the contributions that point away from the leaf change.  They are
@@ -613,10 +617,10 @@ class CactusSolver:
         first one whose (closed_cost, saving, skipped) comes out as it
         was: what lies beyond reads nothing else of it.  The leaf is left
         with no top_at, which marks it removed."""
-        if sum(u not in self.removed for u in self.g.adjacency[v]) != 1:
+        if v in self.removed or sum(u not in self.removed for u in self.g.adjacency[v]) != 1:
             return False
         self.removed.add(v)
-        leaf = self.bt.block_of[v]
+        leaf = self.block_of[v]
         ((attach, gone),) = self.handed[leaf].items()
         p = gone.position
         self._drop(leaf, attach)
@@ -628,47 +632,139 @@ class CactusSolver:
         # bridge set that.  So its neighbour reads only that position p has
         # a neighbour, and if p still has one and the neighbour does not
         # turn into a skipped leaf itself, its tables read as before
-        kept = at[p] is not None and (self.bt.blocks[attach][0] == "cycle"
+        kept = at[p] is not None and (self.blocks[attach][0] == "cycle"
                                       or len(self.handed[attach]) > 1)
-        queue = [] if kept else [(attach, towards) for towards in self.handed[attach]]
+        if not kept:
+            self._propagate([(attach, towards) for towards in self.handed[attach]])
+        return True
+
+    def _propagate(self, queue: list) -> None:
+        """Recompute the contributions in `queue`, (block, towards) pairs,
+        and onwards away from each one that comes out changed; one with no
+        records, new or handed over from another block, always counts as
+        changed.  A block that reads an unchanged contribution as before
+        keeps its root value."""
         for b, towards in queue:
             c = self.handed[b][towards]
-            before = _read_on(c)
+            before, scored = c.records and _read_on(c), self.value[towards]
             self._drop(b, towards)
             self._push(b, towards, self.handed[towards][b])
             if _read_on(c) != before:
                 queue += [(towards, other) for other in self.handed[towards] if other != b]
+            else:
+                self.value[towards] = scored
+
+    def open_cycle(self, v: int) -> bool:
+        """Remove vertex v in place if its only neighbours left are its
+        two on one cycle; otherwise remove nothing and return False.
+
+        The cycle opens into a path of bridges over the vertices left on
+        it, in cycle order.  Each path vertex takes the block a fresh build
+        gives it: the block of its hub when it is a copy, the block of its
+        next cycle when it is a hub with copies (it takes the place of its
+        copy there), and else a new single-vertex block.  What the cycle's
+        neighbours handed it keeps its value and is filed where its bridge
+        now ends.  The path's bridges are scored along it both ways, as the
+        two passes of a build would; then every contribution that points
+        away from the path is recomputed outwards, as in `remove_pendant`."""
+        if v in self.removed:
+            return False
+        cyc = self.block_of[v]
+        kind, verts = self.blocks[cyc]
+        q = verts.index(v) if kind == "cycle" else -1
+        if q < 0 or self.into[cyc][q] is not None:
+            return False
+        self.removed.add(v)
+        t = len(verts)
+        order = [*range(q + 1, t), *range(q)]  # the path, as cycle positions
+        homes = []  # (block, position) of each path vertex
+        for i in order:
+            u = self.origin[verts[i]]
+            if verts[i] != u:  # a copy: its hub's block
+                home = self.block_of[u]
+                homes.append((home, self.blocks[home][1].index(u)))
+            elif links := [c.entry for c in self.into[cyc][i] or () if c.weight == 0]:
+                # a hub: onto its next cycle, that of its least copy
+                copy = min(links)
+                home = self.block_of[u] = self.block_of[copy]
+                hkind, hverts = self.blocks[home]
+                p = hverts.index(copy)
+                self.blocks[home] = (hkind, (*hverts[:p], u, *hverts[p + 1:]))
+                homes.append((home, p))
+            else:
+                home = self.block_of[u] = len(self.blocks)
+                self.blocks.append(("vertex", (u,)))
+                self.handed.append({})
+                self.into.append([None])
+                self.top_at.append([None])
+                self.closed.append(0)
+                self.value.append(None)
+                homes.append((home, 0))
+        # the path's bridges, not yet pushed; into_path[home]: those handed to home
+        into_path = {home: [] for home, _ in homes}
+        for (a, pa), (b, pb) in zip(homes, homes[1:]):
+            self.handed[a][b] = ChildContribution(a, self.blocks[a][1][pa], pb, 1)
+            self.handed[b][a] = ChildContribution(b, self.blocks[b][1][pb], pa, 1)
+            into_path[b].append(self.handed[a][b])
+            into_path[a].append(self.handed[b][a])
+        for i, (home, p) in zip(order, homes):
+            filed = into_path[home]
+            if home in self.handed[cyc]:
+                # the copy link that made home a neighbour of the cycle goes
+                link = self.handed[cyc][home]
+                self._drop(cyc, home)
+                filed += [c for c in self.into[home][p] if c is not link]
+                del self.handed[home][cyc]
+            for c in self.into[cyc][i] or ():
+                if c.block == home:
+                    continue
+                # c's bridge now ends at home, from the same vertex: c is
+                # filed there, and the cycle's side of it becomes home's,
+                # with no records until it is pushed
+                out = self.handed[home][c.block] = self.handed[cyc][c.block]
+                out.block, out.records = home, ()
+                self.handed[c.block][home] = self.handed[c.block].pop(cyc)
+                c.position = p
+                filed.append(c)
+                if not c.skipped:
+                    self.closed[home] += c.closed_cost
+            self.into[home][p] = tuple(sorted(filed, key=_order_key))
+            self.top_at[home][p] = tops = []
+            for c in self.into[home][p]:
+                _rank(tops, c)
+            self.value[home] = None
+        self.handed[cyc], self.into[cyc], self.top_at[cyc] = {}, [], []
+        self.value[cyc] = None
+        path = [b for b, _ in homes]
+        for a, b in zip(path, path[1:]):
+            self._push(a, b, self.handed[b][a])
+        for a, b in zip(path[::-1], path[-2::-1]):
+            self._push(a, b, self.handed[b][a])
+        on_path = set(path)
+        self._propagate([(a, b) for a in path for b in self.handed[a] if b not in on_path])
         return True
 
     def root(self, b: int) -> tuple[int, int]:
         """Block b's least value as the root with both ends free, and the
         first pivot that reaches it."""
-        if self.bt.blocks[b][0] == "vertex":
+        if self.blocks[b][0] == "vertex":
             return self.closed[b] - sum(c.saving for c in self.top_at[b][0] or ()), 0
         return cycle_root(self.top_at[b], self.closed[b], self.weights)
 
     def walk(self) -> CoveringPath:
         """Minimum-length 1-covering walk of the vertices left, with the
         fewest revisits among those; every cost identity is asserted."""
-        g, tvc = self.g, self.tvc
+        g, origin = self.g, self.origin
         new = self.weights[0]
-        if tvc.cycles and not self.handed[0]:
-            # a lone cycle (block 0, the first cycle, with no bridge left):
-            # every vertex but the last two of its listing, the clockwise
-            # arm from position 0 to its tip at depth t - 3
-            t = len(tvc.cycles[0])
-            value, root = (t - 3) * new, 0
-            record = (0, ("chain", t - 3, 0), None, ("armR", t - 3, None))
-        else:
-            value, root, record = solve_root_choices(self)
+        value, root, record = solve_root_choices(self)
         length, revisits = divmod(value, new)
         # the vertex-cactus walk of the root's record, built without recursion
         head, rest = self._items(root, None, record)
         t_walk = self._expand(head)[::-1] + self._expand(rest)
-        assert _walk_weight(tvc, t_walk) == length, "reconstructed walk weight drifted"
+        assert self._walk_weight(t_walk) == length, "reconstructed walk weight drifted"
         g_walk: list[int] = []
         for tv in t_walk:
-            ov = tvc.origin[tv]
+            ov = origin[tv]
             if not g_walk or g_walk[-1] != ov:
                 g_walk.append(ov)
         path = CoveringPath.from_vertices(g, g_walk)
@@ -677,6 +773,26 @@ class CactusSolver:
         assert len(path.covered - self.removed) == g.n - len(self.removed), \
             "solver produced a non-covering walk"
         return path
+
+    def _walk_weight(self, walk: list[int]) -> int:
+        """The weight of a walk over the vertex cactus left; asserts that
+        each step is one of its edges: two vertices of one cycle next to
+        each other in g (a cactus has no chords), or the two ends of a
+        bridge."""
+        total = 0
+        block_of, origin, handed = self.block_of, self.origin, self.handed
+        for a, b in zip(walk, walk[1:]):
+            ba, bb = block_of[a], block_of[b]
+            c = handed[ba].get(bb)
+            if c is None:
+                assert ba == bb and self.g.has_edge(origin[a], origin[b]), \
+                    f"walk step ({a},{b}) is not an edge of T"
+                total += 1
+            else:
+                assert c.entry == a and handed[bb][ba].entry == b, \
+                    f"walk step ({a},{b}) is not an edge of T"
+                total += c.weight
+        return total
 
     # -- reconstruction ----------------------------------------------------
     # Item lists mix vertices with (free ends, block, up) tokens: walk
@@ -701,7 +817,7 @@ class CactusSolver:
         """Round trips into the neighbours filed at position p of block b,
         but for skipped ones and those in `omit`."""
         items: list = []
-        vtx = self.bt.blocks[b][1][p]
+        vtx = self.blocks[b][1][p]
         for c in self.into[b][p] or ():
             if not c.skipped and c.block not in omit:
                 items += [(0, c.block, b), vtx]
@@ -713,7 +829,7 @@ class CactusSolver:
         arm[0], to `depth`, with the round trips into each vertex's
         children; back to depth `back_to` (0 is the pivot), then into
         `child` (when given) without coming back."""
-        verts = self.bt.blocks[b][1]
+        verts = self.blocks[b][1]
         omit = (child,)
         items: list = []
         for i in range(1, depth + 1):
@@ -728,7 +844,7 @@ class CactusSolver:
         as (head, rest): head runs from the pivot out to end1, rest from
         the pivot on to end2, so the walk is head reversed, then rest.
         `up` attaches at the pivot, the one position its walk leaves out."""
-        verts = self.bt.blocks[b][1]
+        verts = self.blocks[b][1]
         p, mode, *ends = record
         at_pivot = [up] + [e[1] for e in ends if e is not None and e[0] == "child"]
         middle = [verts[p]] + self._exc(b, p, omit=at_pivot)
@@ -755,19 +871,32 @@ class CactusSolver:
 
 
 def solve_root_choices(solver: CactusSolver):
-    """(folded value, root, record) of the first best root in block order.
-    A block left (its top_at not empty) is scored unless `solver` keeps its
-    score in `value`; only the winner runs the step, once, at its first
-    best pivot."""
+    """(folded value, root, record) of the first best root in a fresh
+    build's block order: the cycles by id, then the single vertices by
+    vertex.  A block left (its top_at not empty) is scored unless `solver`
+    keeps its score in `value`; only the winner runs the step, once, at
+    its first best pivot.  A lone cycle is scored as no root: its walk is
+    every vertex but the last two of its listing, the clockwise arm from
+    position 0 to its tip at depth t - 3."""
+    blocks, value = solver.blocks, solver.value
     live = [b for b, top_at in enumerate(solver.top_at) if top_at]
+    first = live[0]
+    if blocks[first][0] == "cycle" and not solver.handed[first]:
+        t = len(blocks[first][1])
+        record = (0, ("chain", t - 3, 0), None, ("armR", t - 3, None))
+        return (t - 3) * solver.weights[0], first, record
     for b in live:
-        if solver.value[b] is None:
-            solver.value[b] = solver.root(b)
-    root = min(live, key=lambda b: solver.value[b][0])
-    value, pivot = solver.value[root]
+        if value[b] is None:
+            value[b] = solver.root(b)
+    # ties go to the cycles (ranked False, then by id) before the single
+    # vertices, ranked by their vertex: blocks that openings add have ids
+    # past the others
+    root = min(live, key=lambda b: (value[b][0],
+                                    blocks[b][0] == "vertex" and blocks[b][1][0]))
+    best, pivot = value[root]
     (check, record), = solver._step(root, None, pivot, (2,))
-    assert check == value, "root value drifted from the DP step"
-    return value, root, record
+    assert check == best, "root value drifted from the DP step"
+    return best, root, record
 
 
 def solve_cactus(g: Graph) -> CoveringPath:

@@ -8,11 +8,12 @@ from later stages.  Such a neighbor exists, and removing it keeps the
 vertices left connected, because the walk is a shortest 1-covering walk
 of them: were every neighbor of the end on the walk, the walk without its
 end would still cover them, and every vertex left is on the walk or next
-to it, while the walk avoids the park.  One solver serves the stages: a
-park that is a pendant of the vertices left is removed from it in place,
-and only a park that opens a cycle has it built again.  The stage walks
-are those of solving every stage afresh, and a plan holds only the walks
-and parks.
+to it, while the walk avoids the park.  One solver serves the stages of
+a cactus: a park that is a pendant of the vertices left is removed from
+it in place, and so is one that opens a cycle, the only other kind of
+vertex whose removal keeps a cactus connected.  The stage walks are those
+of solving every stage afresh, and a plan holds only the walks and
+parks.
 The final labels make every cascade a textbook QFT cascade in label
 space: cascade r applies H to the label-r qubit and a controlled phase of
 order (label - r + 1) from each qubit labelled above r.
@@ -63,13 +64,15 @@ def construct_s(g: Graph) -> CascadePlan:
     park; the labels and the occupancy follow from these alone.  The park
     is the walk's last step: the largest neighbor of its end off the walk.
 
-    One `CactusSolver` on the vertices still in play serves the stages.  A
-    park that is a pendant of those vertices is removed from it in place
-    (`CactusSolver.remove_pendant`); a park that opens a cycle has it
-    built again on the vertices left.  Vertices left that form no cactus
+    One `CactusSolver`, built on g, serves every stage of a cactus: each
+    park is removed from it in place, as a pendant of the vertices in play
+    (`CactusSolver.remove_pendant`) or as the vertex that opens a cycle
+    (`CactusSolver.open_cycle`).  Vertices left that form no cactus
     (e.g. complete graphs) fall back to brute-force search, stage by
-    stage, up to `ORACLE_LIMIT` vertices; above it the `NotACactus` is
-    raised again, naming that limit."""
+    stage, on the subgraph they induce, up to `ORACLE_LIMIT` vertices;
+    above it the `NotACactus` is raised again, naming that limit.  The
+    first stage whose survivors form a cactus builds the solver that
+    serves the rest."""
     n = g.n
     if n < 2:
         raise ValueError("the schedule needs at least 2 qubits")
@@ -77,12 +80,12 @@ def construct_s(g: Graph) -> CascadePlan:
     labels = [0] * n      # labels[q] = cascade number of qubit q
     alive = set(range(n))
     records = []
+    # the survivors as a graph of their own, all of g at first: vertex i
+    # of sub stands for vertex old[i] of g, in increasing order
+    sub, old = g, range(n)
     solver = None
     for r in range(1, n - 1):
         if solver is None:
-            # old[i]: the vertex of g that vertex i of sub stands for, in
-            # increasing order
-            sub, old = g.induced_subgraph(alive)
             try:
                 solver = CactusSolver(sub)
             except NotACactus as exc:
@@ -100,8 +103,14 @@ def construct_s(g: Graph) -> CascadePlan:
             occ[cur], occ[nxt] = occ[nxt], occ[cur]
         records.append(CascadeRecord(r, path, park))
         alive.remove(park)
-        if solver is not None and not solver.remove_pendant(bisect_left(old, park)):
-            solver = None
+        if solver is None:
+            sub, old = g.induced_subgraph(alive)
+        else:
+            # the park keeps the rest connected, so it is a pendant or the
+            # lone vertex of a cycle with no other neighbours
+            i = bisect_left(old, park)
+            if not (solver.remove_pendant(i) or solver.open_cycle(i)):
+                raise AssertionError(f"park {park} is neither a pendant nor opens a cycle")
     a, b = sorted(alive)
     if not g.has_edge(a, b):  # parks keep the rest connected, so only n = 2
         raise NotConnected(f"vertex {b} unreachable from {a}")

@@ -1,10 +1,12 @@
-"""Shared helpers: test graphs (spiders, and cacti with their vertices
-renamed), seeded random circuits for fidelity tests, the pairwise CR+SWAP
-fusion rule as a reference CNOT count and lowering, a
-one-application-at-a-time reference for the l-fold hashing operator, a
-solve-every-stage-afresh reference for the QFT schedule with a park
-search, and exhaustive searches for shortest simple covering walks and
-for the fewest revisits a covering walk of a given length can make."""
+"""Shared helpers: test graphs (spiders, cycles with a pendant on every
+vertex, flowers, and cacti with their vertices renamed), seeded random
+circuits for fidelity tests, the pairwise CR+SWAP fusion rule as a
+reference CNOT count and lowering, a one-application-at-a-time reference
+for the l-fold hashing operator, a solve-every-stage-afresh reference for
+the QFT schedule with a park search, the shortest covering walk of a tree
+in closed form, and exhaustive searches for shortest simple covering
+walks and for the fewest revisits a covering walk of a given length can
+make."""
 
 import math
 import random
@@ -31,6 +33,21 @@ def spider(legs: int, length: int) -> Graph:
 # three legs of length 2 hanging off vertex 0: the shortest covering walk
 # must re-enter the hub, so no simple covering path exists at all
 SPIDER = spider(3, 2)
+
+
+def cycle_with_pendants(t):
+    """A t-cycle with one pendant vertex on every cycle vertex."""
+    edges = [(i, (i + 1) % t) for i in range(t)] + [(i, t + i) for i in range(t)]
+    return Graph.from_edges(2 * t, edges)
+
+
+def flower(petals, size):
+    """`petals` cycles of `size` vertices sharing vertex 0."""
+    edges = []
+    for p in range(petals):
+        ring = [0] + [1 + p * (size - 1) + i for i in range(size - 1)]
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+    return Graph.from_edges(1 + petals * (size - 1), edges)
 
 
 def relabel(g: Graph, seed: int) -> Graph:
@@ -171,6 +188,33 @@ def connected_without(g, vertices, removed) -> bool:
                 seen.add(u)
                 queue.append(u)
     return len(seen) == len(rest)
+
+
+def internal_tree_walk(g, alive=None):
+    """(length, vertex count) of a shortest covering walk of a tree on 3
+    or more vertices, in closed form: the walk stays on the I internal
+    vertices, a subtree, and walks every edge of it twice but those of one
+    longest path, so its length is 2(I - 1) - diam, diam found by two BFS
+    passes over that subtree.  With `alive`, the tree is the subgraph of g
+    that those vertices induce."""
+    alive = range(g.n) if alive is None else alive
+    internal = {v for v in alive if sum(u in alive for u in g.adjacency[v]) > 1}
+
+    def farthest(start):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for u in g.adjacency[v]:
+                if u in internal and u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        far = max(dist, key=dist.get)
+        return far, dist[far]
+
+    end, _ = farthest(min(internal))
+    _, diam = farthest(end)
+    return 2 * (len(internal) - 1) - diam, len(internal)
 
 
 def park_search(g, alive, path):

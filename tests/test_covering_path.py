@@ -8,13 +8,22 @@ two fixed corpora."""
 
 import hashlib
 import random
-from collections import deque, namedtuple
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPIDER, fewest_revisits, relabel, shortest_simple_covering_walk, spider
+from conftest import (
+    SPIDER,
+    cycle_with_pendants,
+    fewest_revisits,
+    flower,
+    internal_tree_walk,
+    relabel,
+    shortest_simple_covering_walk,
+    spider,
+)
 
 from cactusq import covering_path
 from cactusq.covering_path import (
@@ -29,21 +38,6 @@ from cactusq.covering_path import (
 )
 from cactusq.families import chain_of_squares, cycle, fig3_cactus, line, star
 from cactusq.graph_core import Graph, random_cactus
-
-
-def cycle_with_pendants(t):
-    """A t-cycle with one pendant vertex on every cycle vertex."""
-    edges = [(i, (i + 1) % t) for i in range(t)] + [(i, t + i) for i in range(t)]
-    return Graph.from_edges(2 * t, edges)
-
-
-def flower(petals, size):
-    """`petals` cycles of `size` vertices sharing vertex 0."""
-    edges = []
-    for p in range(petals):
-        ring = [0] + [1 + p * (size - 1) + i for i in range(size - 1)]
-        edges += list(zip(ring, ring[1:] + ring[:1]))
-    return Graph.from_edges(1 + petals * (size - 1), edges)
 
 
 def cycle_with_attachments(t, seed):
@@ -260,7 +254,7 @@ class TestRerooting:
     def test_tables_do_not_depend_on_the_start_block(self, n, seed, cycle_prob):
         g = random_cactus(n, seed, cycle_prob)
         ref = CactusSolver(g)
-        for start in range(1, ref.bt.n_blocks):
+        for start in range(1, len(ref.blocks)):
             other = CactusSolver(g, start)
             assert other.handed == ref.handed, start
             assert other.into == ref.into, start
@@ -305,7 +299,7 @@ class TestRootValues:
             if g.n < 2:
                 continue
             dp = CactusSolver(g)
-            for b, (kind, verts) in enumerate(dp.bt.blocks):
+            for b, (kind, verts) in enumerate(dp.blocks):
                 step = [dp._step(b, None, p, (2,))[0][0] for p in range(len(verts))]
                 pivot = step.index(min(step))
                 assert dp.root(b) == (min(step), pivot), (g.n, g.edges(), b)
@@ -345,8 +339,8 @@ class TestRootValues:
             dp = CactusSolver(g)
             assert roots == []
             solve_root_choices(dp)
-            assert len(calls) == 2 * (dp.bt.n_blocks - 1) + 1
-            assert sorted(roots) == list(range(dp.bt.n_blocks))
+            assert len(calls) == 2 * (len(dp.blocks) - 1) + 1
+            assert sorted(roots) == list(range(len(dp.blocks)))
 
     @pytest.mark.parametrize("t", [3, 4, 5, 60])
     def test_lone_cycle_scores_no_root(self, monkeypatch, t):
@@ -443,31 +437,6 @@ class TestDeepBlockTrees:
         assert p.is_covering(g) and p.k == 799 == p.k_distinct
 
 
-def _internal_tree_walk(g):
-    """(length, vertex count) of a shortest covering walk of a tree on 3
-    or more vertices, in closed form: the walk stays on the I internal
-    vertices, a subtree, and walks every edge of it twice but those of one
-    longest path, so its length is 2(I - 1) - diam, diam found by two BFS
-    passes over that subtree."""
-    internal = {v for v in range(g.n) if len(g.adjacency[v]) > 1}
-
-    def farthest(start):
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.adjacency[v]:
-                if u in internal and u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        far = max(dist, key=dist.get)
-        return far, dist[far]
-
-    end, _ = farthest(min(internal))
-    _, diam = farthest(end)
-    return 2 * (len(internal) - 1) - diam, len(internal)
-
-
 class TestTreesInClosedForm:
     # on a tree the walk needs no DP to check: it visits each internal
     # vertex once and every edge between them twice but for a diameter
@@ -476,14 +445,14 @@ class TestTreesInClosedForm:
         for seed in range(4 if n < 100 else 2):
             g = random_cactus(n, seed, 0.0)
             p = solve_cactus(g)
-            assert (p.length, p.k_distinct) == _internal_tree_walk(g), (n, seed)
+            assert (p.length, p.k_distinct) == internal_tree_walk(g), (n, seed)
 
     @pytest.mark.parametrize("g, length", [(star(3), 0), (star(4), 0), (star(50), 0),
                                            (line(3), 0), (line(4), 1), (line(5), 2)],
                              ids=["star3", "star4", "star50", "line3", "line4", "line5"])
     def test_stars_and_short_lines(self, g, length):
         p = solve_cactus(g)
-        assert _internal_tree_walk(g) == (length, length + 1) == (p.length, p.k_distinct)
+        assert internal_tree_walk(g) == (length, length + 1) == (p.length, p.k_distinct)
 
 
 class TestSolverPrefersSimpleWalks:

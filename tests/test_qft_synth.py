@@ -4,7 +4,6 @@ the QFT reference, and the cost accounting including the exact revisit
 surcharge."""
 
 import random
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,9 @@ from conftest import (
     SPIDER,
     cascade_stages_reference,
     connected_without,
+    cycle_with_pendants,
+    flower,
+    internal_tree_walk,
     relabel,
     shortest_simple_covering_walk,
     spider,
@@ -22,7 +24,7 @@ from conftest import (
 from cactusq.circuit_ir import Circuit
 from cactusq.covering_path import CactusSolver
 from cactusq.families import chain_of_squares, complete, cycle, fig3_cactus, line, star
-from cactusq.graph_core import Graph, random_cactus
+from cactusq.graph_core import Graph, NotACactus, random_cactus, validate_cactus
 from cactusq.qft_synth import CascadeRecord, cascade_for_path, construct_s, synthesize_qft
 from cactusq.verify_sim import equiv_up_to_permutation, qft_reference_unitary, unitary_of
 
@@ -64,12 +66,42 @@ class TestConstructS:
 
 
 class TestOneSolverAcrossStages:
-    # construct_s keeps one CactusSolver and removes pendant parks from it
-    # in place; every stage must still get the walk and the park that
-    # solving the stage's survivors afresh gives
-    @staticmethod
-    def stages(g):
-        return [(rec.path, rec.park) for rec in construct_s(g).cascades[:-2]]
+    # construct_s keeps one CactusSolver and removes every park from it in
+    # place, pendants and parks that open a cycle alike; every stage must
+    # still get the walk and the park that solving the stage's survivors
+    # afresh gives.  So it builds one solver: on a cactus at the first
+    # stage, else at the first stage whose survivors form a cactus, each
+    # stage before it trying a build in vain
+    @pytest.fixture(autouse=True)
+    def log_builds(self, monkeypatch):
+        """Log the `CactusSolver` builds tried in this class's tests: "try"
+        as each starts, "ok" as each returns."""
+        self.builds = []
+        init = CactusSolver.__init__
+
+        def counted(solver, *args):
+            self.builds.append("try")
+            init(solver, *args)
+            self.builds.append("ok")
+
+        monkeypatch.setattr(CactusSolver, "__init__", counted)
+
+    def stages(self, g):
+        """(walk, park) of each stage of g's plan but the last two, after
+        checking the builds that construct_s tried for it."""
+        self.builds.clear()
+        stages = [(rec.path, rec.park) for rec in construct_s(g).cascades[:-2]]
+        if g.n > 2:
+            tried = self.builds.count("try")
+            assert self.builds == ["try"] * (tried - 1) + ["try", "ok"], self.builds
+            try:
+                validate_cactus(g)
+                assert tried == 1
+            except NotACactus:
+                pass
+        else:
+            assert self.builds == []
+        return stages
 
     @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
     def test_random_cacti_match_the_reference(self, cycle_prob):
@@ -113,6 +145,28 @@ class TestOneSolverAcrossStages:
             assert connected_without(g, alive, park)
             alive.remove(park)
 
+    def test_one_build_per_cactus(self):
+        # every test of this class checks the builds in `stages`; these
+        # are the cacti its other tests do not reach
+        graphs = [random_cactus(300, 0), line(2)] + [cycle(n) for n in range(3, 12)]
+        graphs += [cycle_with_pendants(t) for t in range(3, 9)]
+        graphs += [flower(3, 4), flower(5, 3)]
+        for g in graphs:
+            self.stages(g)
+        assert self.builds == ["try", "ok"]
+
+    @pytest.mark.parametrize("g", [complete(n) for n in range(4, 8)] + [
+        # K4 with a cycle and a tail hung on it, and a cactus with a chord
+        Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                             (3, 4), (4, 5), (5, 3), (5, 6), (6, 7), (7, 8)]),
+        Graph.from_edges(random_cactus(12, 1).n, random_cactus(12, 1).edges() + [(0, 11)])],
+        ids=[f"k{n}" for n in range(4, 8)] + ["k4-tail", "chord"])
+    def test_non_cacti_build_once_they_form_a_cactus(self, g):
+        # brute force stage by stage, each stage trying a build, until the
+        # survivors first form a cactus; that build then serves the rest
+        assert self.stages(g) == cascade_stages_reference(g)
+        assert self.builds.count("try") > 1
+
     def test_least_survivor_park_is_removed_in_place(self):
         # here a pendant park is the least survivor while a cycle is left.
         # It is removed in place, and the fresh DFS then starts from
@@ -122,13 +176,70 @@ class TestOneSolverAcrossStages:
         assert self.stages(g) == cascade_stages_reference(g)
 
 
-class TestPendantRemoval:
-    # after each in-place removal every live block's tables equal those of
-    # a fresh build on the vertices left, value for value: folded values
-    # are compared as (length, revisits), each decoded with its own unit,
-    # and each position's filed neighbours in the fresh build's order.  A
-    # block is live while its top_at is not empty; the root values a walk
-    # keeps must be those its tables score at the time
+def fresh_order(solver):
+    """The blocks left in `solver` (those whose top_at is not empty), in
+    the order a fresh build numbers them: the cycles by id, then the single
+    vertices by vertex."""
+    def rank(b):
+        kind, verts = solver.blocks[b]
+        return (1, verts[0]) if kind == "vertex" else (0, b)
+
+    return sorted((b for b, top_at in enumerate(solver.top_at) if top_at), key=rank)
+
+
+def renumbered(record, renumber):
+    """A record with the blocks its ends name renumbered."""
+    pivot, mode, *ends = record
+    return (pivot, mode, *[end if end is None or end[-1] is None
+                           else (*end[:-1], renumber[end[-1]]) for end in ends])
+
+
+class TestTreeStagesInClosedForm:
+    # a stage whose survivors form a tree is checked with no DP: with I
+    # internal vertices spanning a subtree of diameter diam, every
+    # shortest covering walk has length 2(I - 1) - diam and revisits
+    # I - 1 - diam times (criterion 09's stage identity, at any n)
+    @staticmethod
+    def tree_stages(g):
+        """How many stages of g's QFT have survivors that form a tree,
+        each checked against the closed form."""
+        alive = set(range(g.n))
+        edges = len(g.edges())
+        checked = 0
+        for rec in construct_s(g).cascades[:-2]:
+            path, park = rec.path, rec.park
+            if edges == len(alive) - 1:
+                length, distinct = internal_tree_walk(g, alive)
+                assert (len(path) - 1, len(set(path))) == (length, distinct), (g.edges(), path)
+                assert len(path) - len(set(path)) == distinct - 1 - (2 * (distinct - 1) - length)
+                checked += 1
+            alive.remove(park)
+            edges -= sum(u in alive for u in g.adjacency[park])
+        return checked
+
+    @pytest.mark.parametrize("n", [*range(3, 40), 100, 200, 400])
+    def test_random_trees(self, n):
+        g = random_cactus(n, n, 0.0)
+        assert self.tree_stages(g) == n - 2
+
+    @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
+    def test_tree_stages_of_random_cacti(self, cycle_prob):
+        # nearly all of these trees are left by the stage that opens the
+        # last cycle: 559, 360 and 322 tree stages, of which 11, 2 and 0 are
+        # in graphs that start as trees
+        checked = sum(self.tree_stages(random_cactus(n, seed, cycle_prob))
+                      for n in range(3, 41) for seed in range(2))
+        assert checked > 300
+
+
+class TestRemovalInPlace:
+    # after each in-place removal, a pendant or a vertex that opens a
+    # cycle, every live block's tables equal those of a fresh build on the
+    # vertices left, value for value.  Blocks are paired in the fresh
+    # build's order; folded values are compared as (length, revisits),
+    # each decoded with its own unit; each position's filed neighbours, and
+    # each contribution a block hands out, in the fresh build's terms.  The
+    # root values a walk keeps must be those its tables score at the time
     @staticmethod
     def check_against_fresh(g, solver):
         alive = [v for v in range(g.n) if v not in solver.removed]
@@ -136,15 +247,15 @@ class TestPendantRemoval:
         fresh = CactusSolver(sub)
         kept, new = solver, fresh
         unit, fresh_unit = kept.weights[0], new.weights[0]
-        live = [b for b, top_at in enumerate(kept.top_at) if top_at]
-        assert len(live) == fresh.bt.n_blocks
-        renumber = {b: i for i, b in enumerate(live)}
+        order = fresh_order(kept)
+        assert len(order) == len(fresh.blocks)
+        renumber = {b: i for i, b in enumerate(order)}
         for b, fb in renumber.items():
-            kind, verts = solver.bt.blocks[b]
-            fkind, fverts = fresh.bt.blocks[fb]
+            kind, verts = solver.blocks[b]
+            fkind, fverts = fresh.blocks[fb]
             assert kind == fkind
-            assert ([solver.tvc.origin[v] for v in verts]
-                    == [old[fresh.tvc.origin[v]] for v in fverts])
+            assert ([solver.origin[v] for v in verts]
+                    == [old[fresh.origin[v]] for v in fverts])
             assert divmod(kept.closed[b], unit) == divmod(new.closed[fb], fresh_unit)
             (value, pivot), (fvalue, fpivot) = kept.root(b), new.root(fb)
             assert (divmod(value, unit), pivot) == (divmod(fvalue, fresh_unit), fpivot)
@@ -156,75 +267,121 @@ class TestPendantRemoval:
                             == [(c.block, divmod(c.saving, fresh_unit)) for c in ftop])
             for at, fat in zip(kept.into[b], new.into[fb], strict=True):
                 assert (at is None) == (fat is None)
-                assert ([(renumber[c.block], c.position, c.skipped) for c in at or ()]
-                        == [(c.block, c.position, c.skipped) for c in fat or ()])
+                assert ([(renumber[c.block], solver.origin[c.entry], c.position, c.weight,
+                          c.skipped) for c in at or ()]
+                        == [(c.block, old[fresh.origin[c.entry]], c.position, c.weight,
+                             c.skipped) for c in fat or ()])
+            handed = {renumber[o]: (divmod(c.closed_cost, unit), divmod(c.saving, unit),
+                                    [renumbered(r, renumber) for r in c.records])
+                      for o, c in kept.handed[b].items()}
+            assert handed == {o: (divmod(c.closed_cost, fresh_unit), divmod(c.saving, fresh_unit),
+                                  list(c.records))
+                              for o, c in new.handed[fb].items()}
         assert solver.walk().vertices == tuple(old[v] for v in fresh.walk().vertices)
-        for b in live:
+        for b in order:
             assert kept.value[b] is None or kept.value[b] == kept.root(b), b
 
-    def remove_pendants(self, g, seed):
-        """Remove pendants in random order, each in place, until none is
-        left, checking the tables after each; return how many went."""
+    @staticmethod
+    def remove(solver, alive, v):
+        """Remove v from `solver` in place, as a pendant or as the vertex
+        that opens a cycle, whichever it is; return whether it opened one."""
+        g = solver.g
+        if sum(u in alive for u in g.adjacency[v]) == 1:
+            assert not solver.open_cycle(v) and solver.remove_pendant(v), v
+            opened = False
+        else:
+            assert not solver.remove_pendant(v) and solver.open_cycle(v), v
+            opened = True
+        alive.remove(v)
+        return opened
+
+    def remove_all(self, g, seed):
+        """Remove vertices in a seeded random order, each in place, one
+        whose removal keeps the rest connected at a time, until one is left,
+        checking the tables after each; return (removals, openings)."""
         rng = random.Random(seed)
         solver = CactusSolver(g)
-        removed = 0
-        while True:
-            pendants = [v for v in range(g.n) if v not in solver.removed
-                        and sum(u not in solver.removed for u in g.adjacency[v]) == 1]
-            if not pendants:
-                return removed
-            rng.shuffle(pendants)
-            assert solver.remove_pendant(pendants[0]), pendants[0]
+        alive = set(range(g.n))
+        removed = opened = 0
+        while len(alive) > 1:
+            v = rng.choice(sorted(v for v in alive if connected_without(g, alive, v)))
+            opened += self.remove(solver, alive, v)
             removed += 1
             self.check_against_fresh(g, solver)
+        return removed, opened
 
     @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
     def test_random_cacti(self, cycle_prob):
-        removed = 0
+        removed = opened = 0
         for n in range(2, 31):
             for seed in range(4):
-                removed += self.remove_pendants(random_cactus(n, seed, cycle_prob), seed)
-        assert removed > 100
+                r, o = self.remove_all(random_cactus(n, seed, cycle_prob), seed)
+                removed, opened = removed + r, opened + o
+        assert removed > 100 and opened > 30
 
     @pytest.mark.parametrize("cycle_prob", [0.2, 0.45, 0.85])
     def test_relabelled_cacti(self, cycle_prob):
         # on renamed cacti `validate_cactus` turns some cycles round (see `relabel`)
-        removed = 0
+        removed = opened = 0
         for n in range(2, 31):
             for seed in range(2):
                 g = relabel(random_cactus(n, seed, cycle_prob), seed)
-                removed += self.remove_pendants(g, seed)
-        assert removed > 50
+                r, o = self.remove_all(g, seed)
+                removed, opened = removed + r, opened + o
+        assert removed > 50 and opened > 10
 
     def test_families(self):
-        # the last two: a 4-cycle and a 9-cycle with a path of two on
-        # every vertex, so the cycle's arms lose their neighbours one by one
-        for g in [line(12), star(9), spider(3, 3)] + [
-                Graph.from_edges(3 * t, [(i, (i + 1) % t) for i in range(t)]
-                                 + [(i, t + i) for i in range(t)]
-                                 + [(t + i, 2 * t + i) for i in range(t)])
-                for t in (4, 9)]:
+        # a 4-cycle and a 9-cycle with a path of two on every vertex, so
+        # the cycle's arms lose their neighbours one by one; flowers, where
+        # an opening moves the hub to the next petal or ends the split
+        graphs = [line(12), star(9), spider(3, 3), fig3_cactus(), cycle(7)]
+        graphs += [Graph.from_edges(3 * t, [(i, (i + 1) % t) for i in range(t)]
+                                    + [(i, t + i) for i in range(t)]
+                                    + [(t + i, 2 * t + i) for i in range(t)])
+                   for t in (4, 9)]
+        graphs += [chain_of_squares(t) for t in (1, 3, 6)]
+        graphs += [cycle_with_pendants(t) for t in (3, 5, 8)]
+        graphs += [flower(petals, size) for petals, size in ((2, 3), (3, 3), (4, 4), (3, 5))]
+        for g in graphs:
             for seed in range(3):
-                assert self.remove_pendants(g, seed) > 0
+                removed, opened = self.remove_all(g, seed)
+                assert removed == g.n - 1
+                assert opened > 0 or g.edges() == line(12).edges() or g.n - 1 == len(g.edges())
 
     def test_removals_at_scale(self):
         # 200 removals from one solver on a 5 000-vertex cactus: the
         # vertices are taken in a seeded order, each removed if it is a
-        # pendant by then, with a walk after every 50 to keep root values
-        # that later removals must clear
+        # pendant or opens a cycle by then, with a walk after every 50 to
+        # keep root values that later removals must clear.  A vertex of a
+        # cactus with 3 or more neighbours is a cut vertex
         g = random_cactus(5000, 0)
         solver = CactusSolver(g)
         order = list(range(g.n))
         random.Random(0).shuffle(order)
-        gone = (v for v in order if solver.remove_pendant(v))
-        for _ in range(4):
-            assert len(list(islice(gone, 50))) == 50
-            solver.walk()
+        alive = set(range(g.n))
+        gone = opened = 0
+        for v in order:
+            degree = sum(u in alive for u in g.adjacency[v])
+            if degree == 1 or degree == 2 and connected_without(g, alive, v):
+                opened += self.remove(solver, alive, v)
+                gone += 1
+                if gone % 50 == 0:
+                    solver.walk()
+                if gone == 200:
+                    break
+        assert opened > 20
         self.check_against_fresh(g, solver)
+
+    @staticmethod
+    def tables(solver, b):
+        return (solver.closed[b],
+                [top and [(c.block, c.saving) for c in top] for top in solver.top_at[b]],
+                [at and [(c.block, c.position) for c in at] for at in solver.into[b]])
 
     def test_walks_score_only_changed_blocks(self, monkeypatch):
         # a walk keeps the root values of blocks whose tables have not
-        # changed: none after no removal, just the hub after a leaf goes
+        # changed: none after no removal, just the hub after a leaf goes,
+        # and after an opening just the blocks whose tables it changed
         solver = CactusSolver(star(9))
         solver.walk()
         roots = []
@@ -234,7 +391,21 @@ class TestPendantRemoval:
         assert roots == []
         assert solver.remove_pendant(8)
         solver.walk()
-        assert roots == [solver.bt.block_of[0]]
+        assert roots == [solver.block_of[0]]
+        # a triangle 20, 21, 22 hung off the middle of a line of 20: without
+        # 21, vertex 20 still has to be entered to cover 22, so what the
+        # line reads beyond vertex 10 comes out as before
+        g = Graph.from_edges(23, [(i, i + 1) for i in range(19)]
+                             + [(10, 20), (20, 21), (21, 22), (22, 20)])
+        solver = CactusSolver(g)
+        solver.walk()
+        before = {b: self.tables(solver, b) for b in fresh_order(solver)}
+        roots.clear()
+        assert solver.open_cycle(21)
+        solver.walk()
+        changed = [b for b in fresh_order(solver) if self.tables(solver, b) != before.get(b)]
+        assert sorted(roots) == sorted(changed)
+        assert sorted(solver.blocks[b][1] for b in changed) == [(10,), (20,), (22,)]
 
     def test_least_vertex_is_removed_in_place(self):
         # vertex 0 hangs off a chain of three triangles.  Without it, the
@@ -247,11 +418,20 @@ class TestPendantRemoval:
         assert solver.remove_pendant(0)
         self.check_against_fresh(g, solver)
 
-    def test_non_pendant_is_refused(self):
+    def test_other_vertices_are_refused(self):
         solver = CactusSolver(line(5))
-        assert not solver.remove_pendant(2)
+        assert not solver.remove_pendant(2) and not solver.open_cycle(2)
+        assert not solver.open_cycle(0)
         assert solver.remove_pendant(0) and solver.remove_pendant(1)
+        assert not solver.remove_pendant(0)
         assert solver.walk().vertices == (3,)
+        # on a triangle with a pendant: the pendant's attach vertex and a
+        # flower's shared vertex are cut vertices, and a removed vertex is
+        # refused too
+        solver = CactusSolver(Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
+        assert not solver.open_cycle(2) and not solver.open_cycle(3)
+        assert solver.open_cycle(0) and not solver.open_cycle(0)
+        assert not CactusSolver(flower(2, 3)).open_cycle(0)
 
 
 class TestCascadeForPath:
