@@ -10,7 +10,8 @@ seven kinds: H, CRy, CRd and SWAP, which the syntheses build, and Ry, Rz
 and CNOT, which the lowering writes.  One lowering table onto the basic
 set {H, Ry, Rz, CNOT} is read, with the fusion marks, by `decompose` (a
 basic-gate `Circuit`) and `to_qasm` (QASM-flavored text
-written straight from the table, each distinct gate formatted once);
+written straight from the table, each gate shape lowered and formatted
+once and filled with each gate's qubits);
 `cnot_cost` reads the kept count, the `cx` lines `to_qasm` writes.  Also:
 `cancel_adjacent_cnots`, a peephole pass kept apart from the cost, and a
 JSON gate-list dump/load pair.
@@ -294,7 +295,7 @@ class CostReport:
 # ---------------------------------------------------------------------------
 
 
-def _qasm_line(kind: str, q: tuple[int, ...], theta) -> str:
+def _qasm_line(kind: str, q: tuple, theta) -> str:
     if kind == "CNOT":
         return f"cx q[{q[0]}],q[{q[1]}];"
     if theta is None:
@@ -302,19 +303,43 @@ def _qasm_line(kind: str, q: tuple[int, ...], theta) -> str:
     return f"{kind.lower()}({theta:.17g}) q[{q[0]}];"
 
 
+def _qasm_template(kind: str, theta, d, fused: bool) -> str:
+    """QASM rows of one gate shape as a `str.format` template: the rows
+    `_rows` gives for a prototype on qubits (0, 1), or (0,), with each
+    qubit written as "{0}" or "{1}".  The angle text holds no braces."""
+    prototype = Gate(kind, (0, 1) if _KINDS[kind][0] == 2 else (0,), theta=theta, d=d)
+    names = ("{0}", "{1}")
+    return "\n".join(
+        _qasm_line(row_kind, tuple(names[q] for q in qubits), row_theta)
+        for row_kind, qubits, row_theta in _rows(prototype, fused)
+    )
+
+
 def to_qasm(c: Circuit) -> str:
-    """QASM-flavored text of the lowered circuit.  The rows of each
-    distinct (gate, fused) pair are formatted once and the text reused."""
+    """QASM-flavored text of the lowered circuit.  Each gate shape (kind,
+    angle or phase order, fuse mark) is lowered and formatted once, as a
+    template; a gate's text is that template filled with its qubits, and a
+    gate whose qubits and shape recur reuses its text.  No key holds a
+    `Gate`, so no gate is hashed or compared."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
+    templates: dict[tuple, str] = {}
     text: dict[tuple, str] = {}
     for g, mark in zip(c.gates, c._fuse):
         if mark == _SWALLOWED:
             continue
+        theta = g.theta
         # 0.0 == -0.0 would make them one key, yet they print as 0 and -0
-        key = (g, mark, math.copysign(1.0, g.theta)) if g.theta == 0 else (g, mark)
+        if theta == 0:
+            key = (g.qubits, g.kind, theta, g.d, mark, math.copysign(1.0, theta))
+        else:
+            key = (g.qubits, g.kind, theta, g.d, mark)
         rows = text.get(key)
         if rows is None:
-            rows = text[key] = "\n".join(_qasm_line(*row) for row in _rows(g, mark == _FUSED))
+            shape = key[1:]
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _qasm_template(g.kind, theta, g.d, mark == _FUSED)
+            rows = text[key] = template.format(*g.qubits)
         lines.append(rows)
     lines.append("")  # a closing newline, without copying the joined text
     return "\n".join(lines)

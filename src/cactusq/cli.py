@@ -133,11 +133,16 @@ def _print_json(obj, out: str | None = None) -> None:
     _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
-def _emit_and_report(circuit: Circuit, report: dict, emit, report_flag, out) -> None:
-    """--emit writes the circuit (to --out when given); --report, or no
-    --emit, prints the report on stdout."""
+def _check_emit(emit, report_flag, out) -> None:
+    """Refuse --emit with --report and no --out, where both would go to
+    stdout; called before anything is synthesized."""
     if emit is not None and report_flag and out is None:
         raise ValueError("use --out for the circuit when both --emit and --report are given")
+
+
+def _emit_and_report(circuit: Circuit, report: dict, emit, report_flag, out) -> None:
+    """--emit writes the circuit (to --out when given); --report, or no
+    --emit, prints the report on stdout.  `_check_emit` has passed."""
     if emit is not None:
         _write_text(to_qasm(circuit) if emit == "qasm" else dump_circuit(circuit), out)
     if report_flag or emit is None:
@@ -231,6 +236,7 @@ def _hash_report(g: Graph, l: int, result, params: HashParams, seed: int) -> dic
 @click.option("--out", default=None, help="write the emitted circuit here")
 def hash_cmd(graph_spec, l, p, epsilon, seed, emit, report_flag, out) -> None:
     """Synthesize the merged l-fold hashing operator."""
+    _check_emit(emit, report_flag, out)
     g = _resolve_graph(graph_spec)
     _check_folds(l)
     if g.n < 2:
@@ -272,6 +278,7 @@ def _qft_report(rep: CostReport) -> dict:
 @click.option("--out", default=None, help="write the emitted circuit here")
 def qft_cmd(graph_spec, emit, report_flag, out) -> None:
     """Synthesize the QFT circuit by cascades of covering paths."""
+    _check_emit(emit, report_flag, out)
     g = _resolve_graph(graph_spec)
     circuit, rep = synthesize_qft(g)
     _emit_and_report(circuit, _qft_report(rep), emit, report_flag, out)

@@ -3,9 +3,9 @@ SWAP layout trace, composite decomposition with CR+SWAP fusion, CNOT
 cancellation, the kept CNOT count against the lowered circuit and the
 QASM text, the fusion marks and count a circuit keeps across single,
 gate-list and whole-circuit appends against the pairwise rule, cost
-reports, the QASM/JSON emitters, the QASM text of reused gates against a
-row-by-row formatter, and a digest that pins the QASM text of a fixed
-corpus."""
+reports, the QASM/JSON emitters, the QASM text of reused gate shapes and
+of synthesized circuits against a row-by-row formatter that fuses by the
+pairwise rule, and a digest that pins the QASM text of a fixed corpus."""
 
 import hashlib
 import math
@@ -20,6 +20,7 @@ from conftest import (
     random_circuit,
     reference_cnot_count,
     reference_rows,
+    relabel,
     replayed_permutation,
 )
 
@@ -400,22 +401,24 @@ class TestEmitters:
 
 
 def _qasm_row_by_row(c):
-    """The QASM text of `c`, formatted afresh for every lowered row."""
+    """The QASM text of `c`, formatted afresh for every row that
+    `reference_rows` lowers, with the fusion found by scanning the gate
+    list in pairs rather than read from the circuit's marks."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    for g in decompose(c).gates:
-        q = g.qubits
-        if g.kind == "CNOT":
+    for kind, q, theta in reference_rows(c.gates):
+        if kind == "CNOT":
             lines.append(f"cx q[{q[0]}],q[{q[1]}];")
-        elif g.theta is None:
-            lines.append(f"{g.kind.lower()} q[{q[0]}];")
+        elif theta is None:
+            lines.append(f"{kind.lower()} q[{q[0]}];")
         else:
-            lines.append(f"{g.kind.lower()}({g.theta:.17g}) q[{q[0]}];")
+            lines.append(f"{kind.lower()}({theta:.17g}) q[{q[0]}];")
     return "\n".join(lines) + "\n"
 
 
 class TestQasmReuse:
-    # to_qasm formats each distinct (gate, fused) pair once; the text must
-    # still be what formatting every row gives
+    # to_qasm lowers and formats each gate shape once and fills it with
+    # each gate's qubits; the text must still be what formatting every
+    # row gives
     def test_signed_zero_angles(self):
         # 0.0 == -0.0, yet they print as 0 and -0
         c = Circuit(2, device=line(2))
@@ -425,6 +428,39 @@ class TestQasmReuse:
         text = to_qasm(c)
         assert text == _qasm_row_by_row(c)
         assert "ry(0) q[0];" in text and "ry(-0) q[0];" in text
+
+    def test_signed_zero_angles_on_different_pairs(self):
+        # one shape but for the sign of its zero angle, on pairs and
+        # qubits that differ, so neither template nor text may be shared
+        c = Circuit(4, device=line(4))
+        pairs = ((0, 1), (2, 3), (1, 2), (3, 2), (2, 1), (1, 0))
+        for theta, (a, b) in zip((0.0, -0.0, -0.0, 0.0, 0.0, -0.0), pairs):
+            c.ry(a, theta)
+            c.cry(a, b, theta)
+            c.ry(b, -theta)
+        text = to_qasm(c)
+        assert text == _qasm_row_by_row(c)
+        assert "ry(-0) q[3];" in text and "ry(0) q[3];" in text
+
+    def test_one_shape_on_many_pairs(self):
+        # each CRd order and one CRy angle on every edge of a line, both
+        # ways round, fused with a SWAP and not: qubits reach two digits
+        g = line(24)
+        c = Circuit(g.n, device=g)
+        for a, b in g.edges():
+            for ctrl, tgt in ((a, b), (b, a)):
+                for d in range(1, 6):
+                    c.crd(ctrl, tgt, d)
+                    c.crd(ctrl, tgt, d)
+                    c.swap(tgt, ctrl)
+                c.cry(ctrl, tgt, 0.375)
+                c.h(tgt)
+                c.cry(ctrl, tgt, 0.375)
+                c.swap(ctrl, tgt)
+        text = to_qasm(c)
+        assert text == _qasm_row_by_row(c)
+        assert "q[23]" in text and "q[10],q[11]" in text
+        assert _cx_lines(text) == cnot_cost(c)
 
     def test_same_rotation_fused_and_unfused(self):
         c = Circuit(3, device=line(3))
@@ -458,6 +494,29 @@ class TestQasmReuse:
         c = random_circuit(n, seed, length)
         c.extend(list(c.gates) * 2)
         assert to_qasm(c) == _qasm_row_by_row(c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 10_000), st.integers(0, 40), st.randoms())
+    def test_random_circuit_relabelled(self, n, seed, length, rng):
+        # every shape of the circuit again, on qubits a permutation moved
+        c = random_circuit(n, seed, length)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        c.extend([Gate(g.kind, tuple(perm[q] for q in g.qubits), theta=g.theta, d=g.d)
+                  for g in c.gates])
+        assert to_qasm(c) == _qasm_row_by_row(c)
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_synthesized_on_renamed_cacti(self, n):
+        # renamed vertices turn some cycles round, so walks and gate pairs
+        # differ from those of the pinned corpus
+        for seed in range(2):
+            g = relabel(random_cactus(n, seed), seed)
+            ks = tuple((j - 1) % 16 + 1 for j in range(1, g.n))
+            params = HashParams.from_coefficients(17, 0.25, ks)
+            circuits = [synthesize_hash(g, l, params).circuit for l in (1, 2, 5)]
+            for c in circuits + [synthesize_qft(g)[0]]:
+                assert to_qasm(c) == _qasm_row_by_row(c)
 
 
 class TestPinnedQasm:

@@ -238,6 +238,26 @@ class TestCostAndGen:
         assert exc.value.code == 2
         assert capsys.readouterr().err == "internal error: walk revisit count drifted\n"
 
+    # refused before synthesis: `qft --graph line1000` would first spend
+    # seconds building a circuit it could not write
+    @pytest.mark.parametrize("args", [
+        ["hash", "--graph", "fig3", "--l", "5"],
+        ["qft", "--graph", "line1000"],
+    ])
+    @pytest.mark.parametrize("emit", ["qasm", "json"])
+    def test_emit_and_report_need_out_before_synthesis(self, capsys, monkeypatch, args, emit):
+        def unreachable(*_):
+            raise AssertionError("synthesized before the flags were checked")
+
+        monkeypatch.setattr("cactusq.cli.synthesize_hash", unreachable)
+        monkeypatch.setattr("cactusq.cli.synthesize_qft", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--emit", emit, "--report"])
+        assert exc.value.code == 1
+        assert capsys.readouterr() == (
+            "", "error: use --out for the circuit when both --emit and --report are given\n"
+        )
+
     @pytest.mark.parametrize("args", [
         ["hash", "--graph", "fig3"],
         ["cost", "--graph", "line1"],
